@@ -207,12 +207,7 @@ class json_reporter {
                  "    \"resize_deferrals\": %llu,\n"
                  "    \"chaos_stalls\": %llu,\n"
                  "    \"chaos_kills\": %llu,\n"
-                 "    \"chaos_alloc_fails\": %llu,\n"
-                 "    \"svc_batches\": %llu,\n"
-                 "    \"svc_batch_ops\": %llu,\n"
-                 "    \"svc_batch_max\": %llu,\n"
-                 "    \"svc_ring_full\": %llu,\n"
-                 "    \"svc_depth_hw\": %llu\n"
+                 "    \"chaos_alloc_fails\": %llu\n"
                  "  }\n}\n",
                  static_cast<unsigned long long>(s.descriptors_created),
                  static_cast<unsigned long long>(s.helps_attempted),
@@ -224,12 +219,7 @@ class json_reporter {
                  static_cast<unsigned long long>(s.resize_deferrals),
                  static_cast<unsigned long long>(s.chaos_stalls),
                  static_cast<unsigned long long>(s.chaos_kills),
-                 static_cast<unsigned long long>(s.chaos_alloc_fails),
-                 static_cast<unsigned long long>(s.svc_batches),
-                 static_cast<unsigned long long>(s.svc_batch_ops),
-                 static_cast<unsigned long long>(s.svc_batch_max),
-                 static_cast<unsigned long long>(s.svc_ring_full),
-                 static_cast<unsigned long long>(s.svc_depth_hw));
+                 static_cast<unsigned long long>(s.chaos_alloc_fails));
     std::fclose(f);
     std::fprintf(stderr, "wrote %s\n", path);
   }

@@ -23,30 +23,6 @@ namespace detail {
 // (hashtable.hpp), aggregated here. Monotonic, process-wide.
 inline std::atomic<uint64_t> g_resize_deferrals{0};
 
-// Service-tier counters (src/service/service.hpp): batch execution and
-// ring backpressure. Process-wide like g_resize_deferrals — a service
-// instance is a front end over shared stores, and the monitoring story
-// ("how batched is the fleet's traffic") is a process question. All
-// monotonic except g_svc_batch_max / g_svc_depth_hw, which are
-// monotone high-water marks (never reset).
-inline std::atomic<uint64_t> g_svc_batches{0};    // drains that executed >0 ops
-inline std::atomic<uint64_t> g_svc_batch_ops{0};  // ops executed via batches
-inline std::atomic<uint64_t> g_svc_batch_max{0};  // largest single batch
-inline std::atomic<uint64_t> g_svc_ring_full{0};  // try_push rejections
-inline std::atomic<uint64_t> g_svc_depth_hw{0};   // queue-depth high-water
-
-/// Monotone high-water update (racy-max: two racers both land, the larger
-/// wins eventually; monitoring only).
-inline void bump_max(std::atomic<uint64_t>& m, uint64_t v) {
-  // mo: relaxed — monitoring high-water; no ordering with the observed
-  // event is needed, only eventual monotone convergence.
-  uint64_t cur = m.load(std::memory_order_relaxed);
-  while (v > cur &&
-         // mo: relaxed — same monitoring contract as the load above.
-         !m.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
 }  // namespace detail
 
 struct stats_snapshot {
@@ -63,13 +39,6 @@ struct stats_snapshot {
   uint64_t chaos_stalls = 0;         // injected stalls (chaos/faultpoint.hpp)
   uint64_t chaos_kills = 0;          // injected kills (dead-holder parks)
   uint64_t chaos_alloc_fails = 0;    // injected allocation failures
-  // Service-tier counters (src/service/service.hpp; zero when no service
-  // front end runs). mean batch size = svc_batch_ops / svc_batches.
-  uint64_t svc_batches = 0;          // batches executed (drains with >0 ops)
-  uint64_t svc_batch_ops = 0;        // requests executed through batches
-  uint64_t svc_batch_max = 0;        // largest single batch (high-water)
-  uint64_t svc_ring_full = 0;        // try_push backpressure rejections
-  uint64_t svc_depth_hw = 0;         // push-time queue-depth high-water
 };
 
 /// Aggregate counters across all threads (monotonic since process start).
@@ -98,16 +67,6 @@ inline stats_snapshot stats() {
   s.chaos_stalls = flock_chaos::stalls_injected();
   s.chaos_kills = flock_chaos::kills_injected();
   s.chaos_alloc_fails = flock_chaos::alloc_fails_injected();
-  // mo: relaxed (all five) — monotonic monitoring counters, same
-  // approximate-snapshot contract as the per-thread cells above.
-  s.svc_batches = detail::g_svc_batches.load(std::memory_order_relaxed);
-  s.svc_batch_ops = detail::g_svc_batch_ops.load(std::memory_order_relaxed);
-  s.svc_batch_max =
-      detail::g_svc_batch_max.load(std::memory_order_relaxed);  // mo: ditto
-  s.svc_ring_full =
-      detail::g_svc_ring_full.load(std::memory_order_relaxed);  // mo: ditto
-  s.svc_depth_hw =
-      detail::g_svc_depth_hw.load(std::memory_order_relaxed);  // mo: ditto
   return s;
 }
 

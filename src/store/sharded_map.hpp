@@ -198,16 +198,16 @@ class sharded_map {
   /// raced away (removed, or already moved by a concurrent rebalancer)
   /// is settled, while an attempt-budget exhaustion is reported as
   /// pending — callers loop until a pass reports nothing moved and
-  /// nothing exhausted. During a migration window readers must probe
-  /// `*this` (the SOURCE) first and fall back to `dst` — the double-read
-  /// discipline, implemented by the service tier's façade
-  /// (src/service/service.hpp). Source-first is forced by the move's
-  /// splice order: try_move publishes the key in the destination before
-  /// hiding it in the source, so "absent in source" implies the
-  /// destination publication already happened and the fallback probe
-  /// must find it. Probing dst first admits a false miss (dst probed
-  /// before the publication, source after the removal). The stores
-  /// themselves stay individually consistent throughout.
+  /// nothing exhausted. During a migration window the stores do not
+  /// route reads for each other: a caller that must not miss a resident
+  /// key probes `*this` (the SOURCE) first and falls back to `dst` only
+  /// on a miss. Source-first is forced by the move's splice order:
+  /// try_move publishes the key in the destination before hiding it in
+  /// the source, so "absent in source" implies the destination
+  /// publication already happened and the fallback probe must find it.
+  /// Probing dst first admits a false miss (dst probed before the
+  /// publication, source after the removal). The stores themselves stay
+  /// individually consistent throughout.
   rebalance_report rebalance_into(sharded_map& dst, std::size_t budget,
                                   int attempts_per_key = 1 << 10) {
     rebalance_report rep;

@@ -171,21 +171,17 @@ void f(std::atomic<int>& x) {
             0);
 }
 
-TEST(LintR3, CoversRuntimeStructureStoreAndServiceLayers) {
+TEST(LintR3, CoversRuntimeStructureStoreLayers) {
   // The justification discipline follows the weak orders: since the
   // optimistic read path put seqlock version words in src/ds/ and cached
-  // version snapshots in src/store/, those trees are covered too, and the
-  // service tier (ring sequence numbers, completion publication,
-  // combiner handoff) joined with PR 10. Code outside the four layers
-  // (benches, tests, tools) stays exempt.
+  // version snapshots in src/store/, those trees are covered too. Code
+  // outside the three layers (benches, tests, tools) stays exempt.
   const std::string src = R"lint(
 void f(std::atomic<int>& x) { x.store(1, std::memory_order_relaxed); }
 )lint";
   EXPECT_EQ(count_rule(lint_one("src/flock/fixture.hpp", src, {"R3"}), "R3"), 1);
   EXPECT_EQ(count_rule(lint_one("src/ds/fixture.hpp", src, {"R3"}), "R3"), 1);
   EXPECT_EQ(count_rule(lint_one("src/store/fixture.hpp", src, {"R3"}), "R3"), 1);
-  EXPECT_EQ(count_rule(lint_one("src/service/fixture.hpp", src, {"R3"}), "R3"),
-            1);
   EXPECT_EQ(count_rule(lint_one("bench/fixture.hpp", src, {"R3"}), "R3"), 0);
 }
 

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -198,6 +199,40 @@ TEST_P(ShardedMapTest, ReshardingUnderConcurrentTraffic) {
       ASSERT_EQ(*v, i * 3);
     }
   }
+  EXPECT_TRUE(src.check_invariants());
+  EXPECT_TRUE(dst.check_invariants());
+}
+
+TEST_P(ShardedMapTest, ConcurrentReadersNeverMissDuringRebalance) {
+  // The caller-side double read over a live rebalance_into window: probe
+  // the source first and fall back to the destination only on a miss.
+  // Every key stays resident throughout, so any miss is a false one.
+  map_try src(2), dst(4);
+  constexpr uint64_t kKeys = 128;
+  for (uint64_t k = 0; k < kKeys; k++) ASSERT_TRUE(src.insert(k, k + 1));
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> misses{0};
+  std::thread reader([&src, &dst, &stop, &misses] {
+    while (!stop.load(std::memory_order_acquire)) {
+      for (uint64_t k = 0; k < kKeys; k++) {
+        auto r = src.find(k);
+        if (!r.has_value()) r = dst.find(k);
+        if (!r.has_value() || *r != k + 1)
+          misses.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  });
+  while (true) {
+    const auto rep = src.rebalance_into(dst, 4);
+    if (rep.moved == 0 && rep.exhausted == 0 && !rep.budget_spent) break;
+    std::this_thread::yield();  // let the reader overlap the window
+  }
+  stop.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_EQ(misses.load(), 0u);
+  EXPECT_EQ(src.size(), 0u);
+  for (uint64_t k = 0; k < kKeys; k++)
+    EXPECT_EQ(dst.find(k), std::optional<uint64_t>(k + 1));
   EXPECT_TRUE(src.check_invariants());
   EXPECT_TRUE(dst.check_invariants());
 }

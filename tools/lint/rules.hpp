@@ -90,7 +90,7 @@ struct lint_config {
   // (lock words, migration publication, seqlock version words) are
   // load-bearing.
   std::vector<std::string> r3_path_substrs = {"src/flock/", "src/ds/",
-                                              "src/store/", "src/service/"};
+                                              "src/store/"};
   // Empty = run all rules; else run only these ids.
   std::set<std::string> only_rules;
 
