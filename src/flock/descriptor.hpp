@@ -4,8 +4,8 @@
 // (helpers adopt it) and a helped flag (never-helped descriptors are
 // reused immediately instead of epoch-retired).
 //
-// The first log block is embedded, so acquiring a lock costs exactly one
-// pool allocation.
+// The first log block (one cache line: 7 slots and the next pointer) is
+// embedded, so acquiring a lock costs exactly one pool allocation.
 #pragma once
 
 #include <atomic>

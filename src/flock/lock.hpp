@@ -310,24 +310,17 @@ inline bool help_throttled(thread_context* c, lock_word& st,
   return true;
 }
 
-/// Retire a descriptor that was successfully installed from a NESTED
-/// acquisition (top-level acquisitions use retire_installed_toplevel
-/// below, so c->log.block != nullptr here). The retire decision goes
-/// through the log (one slot) so exactly one run of the enclosing thunk
-/// performs it; the descriptor is always epoch-retired because stale runs
-/// (of the descriptor itself, or of the enclosing thunk replaying this
-/// code) may still hold the pointer — the §6 pool-reuse shortcut is a
-/// top-level-only optimization.
+/// Retire a descriptor created by a NESTED acquisition (top-level
+/// acquisitions use retire_installed_toplevel below, so c->log.block !=
+/// nullptr here). Two cases: the descriptor was installed and run, or its
+/// install CAS lost and it was never on the lock. Either way replays of
+/// the enclosing thunk can still reach it through the log, and stale runs
+/// of an installed descriptor may still hold the pointer, so it is always
+/// epoch-retired — the §6 pool-reuse shortcut is a top-level-only
+/// optimization. The retire decision goes through the log (one slot) so
+/// exactly one run of the enclosing thunk performs it.
 template <bool Ccas>
-inline void retire_installed(thread_context* c, descriptor* d) {
-  if (commit64_first_ctx<Ccas>(c, 1).second) epoch_retire_ctx(c, d);
-}
-
-/// Retire a descriptor whose install CAS lost, from a nested acquisition:
-/// it was never on the lock, but replays of the enclosing thunk can still
-/// reach it through the log.
-template <bool Ccas>
-inline void retire_unpublished(thread_context* c, descriptor* d) {
+inline void retire_logged(thread_context* c, descriptor* d) {
   if (commit64_first_ctx<Ccas>(c, 1).second) epoch_retire_ctx(c, d);
 }
 
@@ -409,7 +402,7 @@ bool try_lock_helping(thread_context* c, lock_word& st, F&& f) {
     if (d_done || nowv == minev) {
       // Acquired (possibly already helped to completion).
       bool result = run_and_unlock<Ccas>(c, st, d);
-      retire_installed<Ccas>(c, d);
+      retire_logged<Ccas>(c, d);
       return result;
     }
     if (lv_locked(nowv)) {
@@ -418,7 +411,7 @@ bool try_lock_helping(thread_context* c, lock_word& st, F&& f) {
       uint64_t fresh = st.read_raw_packed();
       if (lv_locked(val_of(fresh))) help_throttled<Ccas>(c, st, fresh);
     }
-    retire_unpublished<Ccas>(c, d);
+    retire_logged<Ccas>(c, d);
     return false;
   }
   help_throttled<Ccas>(c, st, cur);
@@ -464,7 +457,7 @@ bool strict_lock_helping(thread_context* c, lock_word& st, F&& f) {
           commit_bool_ctx<Ccas>(c, d->done.load(std::memory_order_acquire));
       if (d_done || nowv == minev) {
         bool result = run_and_unlock<Ccas>(c, st, d);
-        retire_installed<Ccas>(c, d);
+        retire_logged<Ccas>(c, d);
         return result;
       }
       if (lv_locked(nowv)) {

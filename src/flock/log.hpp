@@ -2,28 +2,41 @@
 //
 // Every thunk (descriptor) carries a log shared by all processes that run
 // it. Each loggable event — a load of a mutable location, an allocation, a
-// retirement, a committed boolean — occupies one 128-bit slot. A run
+// retirement, a committed boolean — occupies one 64-bit slot. A run
 // commits its candidate value with a CAS(empty → value) and then adopts
 // whatever the slot holds, so all runs of the thunk observe identical
 // values and stay synchronized (same branches, same log positions).
 //
-// Differences from the paper's pseudocode, both strengthenings:
-//  * committed entries always carry a "present" bit, so the empty sentinel
-//    can never collide with a legitimate value (Alg. 2 instead assumes
-//    `empty` is never stored by users);
-//  * commits use compare-and-compare-and-swap (§6 "Avoiding CASes"):
-//    read the slot first and skip the CAS when it is already full.
+// Slot encoding: empty is 0 and a slot holds `payload + 1`, so 0, false
+// and a null pointer are committable like any other value (Alg. 2 instead
+// assumes `empty` is never stored by users). The one payload that cannot
+// be stored is 2^64 - 1. No library payload reaches it: packed tagged
+// words top out at tag 0xFFFE (next_tag in tagged.hpp wraps before
+// 0xFFFF), pointers and write_once values fit in 48 bits, and booleans
+// and retire flags are 0 or 1. The public commit_value asserts it.
+//
+// Slots are 64 bits so a commit is an inline 8-byte load plus `lock
+// cmpxchg`; 16-byte atomics compile to libatomic calls. The one payload
+// wider than a word, mutable_dw's (value, counter) pair, is committed by
+// commit_pair_ctx into a 16-byte-aligned pair of adjacent slots with one
+// 16-byte CAS. An odd position, or a block's last slot, is skipped (left
+// empty) so the pair starts at the next aligned pair; every run skips the
+// same slots, so positions stay synchronized. The pair is stored as is,
+// without the +1: its counter is >= 1, so a committed pair is never zero.
+//
+// Commits use compare-and-compare-and-swap (§6 "Avoiding CASes"): read the
+// slot first and skip the CAS when it is already full.
 //
 // Hot-path structure: the commit core is templated on the ccas choice and
 // takes the caller's thread context, so the lock machinery (which
 // dispatches on the mode once per acquisition, see lock.hpp) performs no
 // TLS lookups and no shared-flag loads inside its loops. The public
-// commit_* spellings keep the old behavior (one context fetch, one flag
-// load per call).
+// commit_* spellings fetch the context and load the flag once per call.
 //
-// Logs grow in blocks of kLogBlockEntries entries (§6 "Arbitrary Length
-// Logs"); extending the chain is itself idempotent: the first run to
-// overflow CASes a fresh block into the next pointer, losers free theirs.
+// Logs grow in blocks of kLogBlockEntries slots plus a next pointer, one
+// cache line (§6 "Arbitrary Length Logs"); extending the chain is itself
+// idempotent: the first run to overflow CASes a fresh block into the next
+// pointer, losers free theirs.
 #pragma once
 
 #include <atomic>
@@ -38,28 +51,28 @@
 
 namespace flock {
 
-using u128 = unsigned __int128;
-
-inline constexpr u128 kLogPresent = static_cast<u128>(1) << 127;
-inline constexpr u128 kLogEmpty = 0;
+inline constexpr uint64_t kLogEmpty = 0;
 
 struct log_entry {
-  std::atomic<u128> v{kLogEmpty};
+  std::atomic<uint64_t> v{kLogEmpty};
 };
+static_assert(std::atomic<uint64_t>::is_always_lock_free,
+              "log slots must commit with an inline 8-byte CAS");
 
-struct log_block {
+// Cache-line aligned: the block is one line, and even slots are 16-byte
+// aligned for commit_pair_ctx.
+struct alignas(kCacheLine) log_block {
   log_entry entries[kLogBlockEntries];
   std::atomic<log_block*> next{nullptr};
+};
+static_assert(sizeof(log_block) == kCacheLine,
+              "a log block is one cache line: 7 slots and the next pointer");
 
-  /// Reset for pool reuse. Only legal when no other thread can access the
-  /// block (e.g. a never-helped descriptor, see lock.hpp).
-  void reset() {
-    // mo: relaxed (both) — reuse precondition above means no concurrent
-    // access; re-publication to other threads goes through the pool /
-    // descriptor-install release edges.
-    for (auto& e : entries) e.v.store(kLogEmpty, std::memory_order_relaxed);
-    next.store(nullptr, std::memory_order_relaxed);  // mo: ditto
-  }
+/// Two words committed together into an aligned pair of slots
+/// (commit_pair_ctx); `hi` must be nonzero.
+struct alignas(16) log_pair {
+  uint64_t lo;
+  uint64_t hi;
 };
 
 /// Thread-local cursor into the log of the thunk the thread is currently
@@ -86,12 +99,12 @@ namespace detail {
 inline void log_bump(thread_context* c, log_cursor& cur) {
   if (++cur.pos < kLogBlockEntries) return;
   // mo: acquire — pairs with the acq_rel append CAS below: a helper that
-  // sees another run's block must also see its reset() contents.
+  // sees another run's block must also see its zeroed slots.
   log_block* nxt = cur.block->next.load(std::memory_order_acquire);
   if (nxt == nullptr) {
     log_block* mine = pool_new_ctx<log_block>(c);
     log_block* expected = nullptr;
-    // mo: acq_rel — release publishes the freshly reset block to other
+    // mo: acq_rel — release publishes the freshly zeroed block to other
     // runs of this thunk; acquire on failure so `expected` (the winner's
     // block) is safe to walk into.
     if (cur.block->next.compare_exchange_strong(expected, mine,
@@ -107,27 +120,28 @@ inline void log_bump(thread_context* c, log_cursor& cur) {
 }
 
 /// commitValue (Alg. 2 line 31) core: ccas choice is a template constant,
-/// the context is supplied by the caller. The payload must not use bit
-/// 127 (the present bit). Returns the committed payload and whether the
-/// calling run was first to commit.
+/// the context is supplied by the caller. The payload must not be 2^64 - 1
+/// (see the header). Returns the committed payload and whether the calling
+/// run was first to commit.
 template <bool Ccas>
-inline std::pair<u128, bool> commit_raw_ctx(thread_context* c, u128 payload) {
+inline std::pair<uint64_t, bool> commit_raw_ctx(thread_context* c,
+                                                uint64_t payload) {
   log_cursor& cur = c->log;
   if (cur.block == nullptr) return {payload, true};  // outside any lock
   log_entry& slot = cur.block->entries[cur.pos];
   log_bump(c, cur);
   ++c->commit_count;
 
-  const u128 desired = payload | kLogPresent;
+  const uint64_t desired = payload + 1;
   if constexpr (Ccas) {
     // Compare-and-compare-and-swap (§6): skip the CAS when already full.
     // mo: acquire — adopting a value another run committed must also
     // acquire whatever that run published before committing it (e.g. the
     // object a committed pointer refers to).
-    u128 seen = slot.v.load(std::memory_order_acquire);
-    if (seen != kLogEmpty) return {seen & ~kLogPresent, false};
+    uint64_t seen = slot.v.load(std::memory_order_acquire);
+    if (seen != kLogEmpty) return {seen - 1, false};
   }
-  u128 expected = kLogEmpty;
+  uint64_t expected = kLogEmpty;
   // mo: acq_rel — release so the committed payload's referent is visible
   // to runs that adopt it; acquire on failure for the same adoption
   // argument as the ccas pre-check above.
@@ -135,19 +149,51 @@ inline std::pair<u128, bool> commit_raw_ctx(thread_context* c, u128 payload) {
                                      std::memory_order_acq_rel)) {
     return {payload, true};
   }
-  return {expected & ~kLogPresent, false};
+  return {expected - 1, false};
+}
+
+/// Commit a two-word payload (mutable_dw's value and counter) into the
+/// next 16-byte-aligned pair of slots with one 16-byte CAS, skipping an
+/// odd position or a block's last slot (see the header). `p.hi` must be
+/// nonzero: a pair is empty exactly when its hi word is 0.
+template <bool Ccas>
+inline log_pair commit_pair_ctx(thread_context* c, log_pair p) {
+  log_cursor& cur = c->log;
+  if (cur.block == nullptr) return p;  // outside any lock
+  assert(p.hi != 0 && "a committed pair needs a nonzero hi word");
+  if (cur.pos % 2 != 0) log_bump(c, cur);  // pad to an even slot
+  if (cur.pos + 1 >= kLogBlockEntries) log_bump(c, cur);  // no partner
+  log_entry* slots = &cur.block->entries[cur.pos];  // [0] = lo, [1] = hi
+  log_bump(c, cur);
+  log_bump(c, cur);
+  ++c->commit_count;
+
+  if constexpr (Ccas) {
+    // mo: acquire — the ccas pre-check adopts like the single-slot core.
+    uint64_t hi = slots[1].v.load(std::memory_order_acquire);
+    // mo: acquire — read after hi: the pair was written by one 16-byte
+    // CAS, so once hi reads nonzero, lo holds the committed lo too.
+    if (hi != 0) return {slots[0].v.load(std::memory_order_acquire), hi};
+  }
+  log_pair expected{0, 0};
+  // mo: acq_rel / acquire-on-failure — same adoption argument as the
+  // single-slot CAS in commit_raw_ctx.
+  if (__atomic_compare_exchange(reinterpret_cast<log_pair*>(slots), &expected,
+                                &p, /*weak=*/false, __ATOMIC_ACQ_REL,
+                                __ATOMIC_ACQUIRE))
+    return p;
+  return expected;
 }
 
 template <bool Ccas>
 inline uint64_t commit64_ctx(thread_context* c, uint64_t v) {
-  return static_cast<uint64_t>(commit_raw_ctx<Ccas>(c, v).first);
+  return commit_raw_ctx<Ccas>(c, v).first;
 }
 
 template <bool Ccas>
 inline std::pair<uint64_t, bool> commit64_first_ctx(thread_context* c,
                                                     uint64_t v) {
-  auto [cv, first] = commit_raw_ctx<Ccas>(c, v);
-  return {static_cast<uint64_t>(cv), first};
+  return commit_raw_ctx<Ccas>(c, v);
 }
 
 template <bool Ccas>
@@ -157,29 +203,30 @@ inline bool commit_bool_ctx(thread_context* c, bool b) {
 
 }  // namespace detail
 
-/// commitValue on a raw 128-bit payload (public spelling; one context
-/// fetch and one ccas-flag load per call).
-inline std::pair<u128, bool> commit_raw(u128 payload) {
+/// commitValue on a raw 64-bit payload other than 2^64 - 1 (public
+/// spelling; one context fetch and one ccas-flag load per call).
+inline std::pair<uint64_t, bool> commit_raw(uint64_t payload) {
   detail::thread_context* c = detail::my_ctx();
   return use_ccas() ? detail::commit_raw_ctx<true>(c, payload)
                     : detail::commit_raw_ctx<false>(c, payload);
 }
 
 /// Convenience: commit a 64-bit value.
-inline uint64_t commit64(uint64_t v) {
-  return static_cast<uint64_t>(commit_raw(v).first);
-}
+inline uint64_t commit64(uint64_t v) { return commit_raw(v).first; }
 
 inline std::pair<uint64_t, bool> commit64_first(uint64_t v) {
-  auto [c, first] = commit_raw(v);
-  return {static_cast<uint64_t>(c), first};
+  return commit_raw(v);
 }
 
 inline bool commit_bool(bool b) { return commit64(b ? 1 : 0) != 0; }
 
 /// Users can commit arbitrary nondeterministic results (paper §3.2: "The
-/// commitValue can also be used directly by the user").
-inline uint64_t commit_value(uint64_t v) { return commit64(v); }
+/// commitValue can also be used directly by the user"). Any value except
+/// 2^64 - 1, which a slot cannot hold (slots store value + 1, 0 = empty).
+inline uint64_t commit_value(uint64_t v) {
+  assert(v != ~uint64_t{0} && "commit_value cannot log 2^64 - 1");
+  return commit64(v);
+}
 
 /// Idempotent allocation (Alg. 2 line 51): every run constructs its own
 /// candidate, the first to commit wins, losers destroy theirs.

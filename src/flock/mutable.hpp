@@ -10,7 +10,10 @@
 //                     updated with a 16-byte CAS; loads touch only the two
 //                     64-bit halves (§6 first optimization: "a load only
 //                     needs to log the value... a store does not need to
-//                     read the counter and value atomically").
+//                     read the counter and value atomically"). A logged
+//                     load commits the pair into two adjacent log slots
+//                     with one 16-byte CAS (log.hpp), so this is the only
+//                     flavor that needs -mcx16 and libatomic.
 //  * write_once<T>  — see write_once.hpp.
 //
 // Semantics (Alg. 2): load commits the observed value to the enclosing
@@ -310,12 +313,10 @@ class alignas(16) mutable_dw {
     uint64_t cnt = __atomic_load_n(&rep_.cnt, __ATOMIC_ACQUIRE);
     uint64_t v = __atomic_load_n(&rep_.val, __ATOMIC_ACQUIRE);
     if (c->log.block != nullptr) {
-      // Counter fits in 63 bits; bit 127 stays free for the present bit.
-      u128 committed =
-          detail::commit_raw_ctx<Ccas>(c, (static_cast<u128>(cnt) << 64) | v)
-              .first;
-      cnt = static_cast<uint64_t>(committed >> 64);
-      v = static_cast<uint64_t>(committed);
+      // The counter is >= 1, so the committed pair is never the empty one.
+      log_pair committed = detail::commit_pair_ctx<Ccas>(c, log_pair{v, cnt});
+      v = committed.lo;
+      cnt = committed.hi;
     }
     return rep{v, cnt};
   }

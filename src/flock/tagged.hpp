@@ -34,6 +34,11 @@ inline constexpr int kTagBits = 16;
 inline constexpr int kValBits = 48;
 inline constexpr uint64_t kValMask = (uint64_t{1} << kValBits) - 1;
 inline constexpr uint64_t kTagLimit = uint64_t{1} << kTagBits;
+/// Largest tag issued. Tag 0xFFFF is never used, so a packed word is never
+/// 2^64 - 1, the one payload an idempotence-log slot cannot hold (log.hpp).
+inline constexpr uint64_t kTagMax = kTagLimit - 2;
+static_assert(kMaxThreads + 1 <= kTagMax,
+              "the wrap scan must find a free tag below kTagMax");
 
 constexpr uint64_t pack_tagged(uint64_t tag, uint64_t val) {
   return (tag << kValBits) | (val & kValMask);
@@ -88,10 +93,11 @@ class announce_guard {
 };
 
 /// Next tag for `loc`, given the current packed word. Fast path: +1. On
-/// wrap, scan announcements and skip tags still held for this location.
+/// wrap (past kTagMax), scan announcements and skip tags still held for
+/// this location; the result is in [1, kTagMax].
 inline uint64_t next_tag(const void* loc, uint64_t cur_packed) {
   uint64_t t = tag_of(cur_packed) + 1;
-  if (t < kTagLimit) [[likely]]
+  if (t <= kTagMax) [[likely]]
     return t;
   // Wrapped: gather announced tags for this location.
   std::atomic_thread_fence(std::memory_order_seq_cst);

@@ -56,7 +56,7 @@ TEST(Log, FirstCommitWinsWithinThunk) {
 }
 
 TEST(Log, ZeroIsACommittableValue) {
-  // The present bit distinguishes "committed 0" from "empty".
+  // The +1 slot encoding distinguishes "committed 0" from "empty".
   scoped_log lg;
   auto [v, first] = flock::commit64_first(0);
   EXPECT_EQ(v, 0u);
@@ -89,16 +89,40 @@ TEST(Log, GrowsAcrossBlocks) {
     EXPECT_EQ(flock::commit64(12345), static_cast<uint64_t>(i));
 }
 
-TEST(Log, CommitRaw128) {
+// Slots store payload + 1 with 0 as empty: the payloads next to the
+// encoding's edges must be adopted unchanged on replay.
+TEST(Log, BoundaryPayloadsRoundTrip) {
+  const uint64_t packed_max = flock::pack_tagged(0xFFFE, flock::kValMask);
+  const uint64_t payloads[] = {
+      0,
+      static_cast<uint64_t>(false),
+      reinterpret_cast<uint64_t>(static_cast<int*>(nullptr)),
+      uint64_t{1} << 63,
+      packed_max,
+  };
+  ASSERT_EQ(packed_max, ~uint64_t{0} - (uint64_t{1} << 48));
   scoped_log lg;
-  flock::u128 big = (static_cast<flock::u128>(0xABCDEF) << 64) | 0x123456;
-  auto [v, first] = flock::commit_raw(big);
-  EXPECT_TRUE(first);
-  EXPECT_TRUE(v == big);
-  flock::tls_log() = {lg.head, 0};
-  auto [v2, first2] = flock::commit_raw(flock::u128{1});
-  EXPECT_FALSE(first2);
-  EXPECT_TRUE(v2 == big);
+  for (uint64_t p : payloads) {
+    auto [v, first] = flock::commit_raw(p);
+    EXPECT_TRUE(first);
+    EXPECT_EQ(v, p);
+  }
+  // Replays propose different values and must adopt the originals, both
+  // through the ccas pre-check and through a failed CAS.
+  for (bool ccas : {true, false}) {
+    SCOPED_TRACE(ccas);
+    flock::set_ccas(ccas);
+    flock::tls_log() = {lg.head, 0};
+    for (uint64_t p : payloads) {
+      auto [v, first] = flock::commit_raw(p ^ 0x5A5A);
+      EXPECT_FALSE(first);
+      EXPECT_EQ(v, p);
+    }
+    flock::tls_log() = {lg.head, 0};
+    EXPECT_EQ(flock::commit_value(1), 0u);
+    EXPECT_FALSE(flock::commit_bool(true));
+  }
+  flock::set_ccas(true);
 }
 
 // Many threads replay the same log concurrently; all must agree on every

@@ -41,6 +41,24 @@ TEST(Tagged, NextTagWrapsSkippingZero) {
   EXPECT_EQ(flock::detail::next_tag(&loc, p), 1u);
 }
 
+// Tag 0xFFFF would let a packed word reach 2^64 - 1, which a log slot
+// cannot hold; 0 is the never-stored initial tag. Wrapping skips both.
+TEST(Tagged, WrappingNextTagAvoidsZeroAndMax) {
+  int loc = 0;
+  for (uint64_t tag = flock::kTagLimit - 4; tag < flock::kTagLimit; tag++) {
+    uint64_t t = flock::detail::next_tag(&loc, flock::pack_tagged(tag, 0));
+    EXPECT_NE(t, 0u) << "from tag " << tag;
+    EXPECT_NE(t, 0xFFFFu) << "from tag " << tag;
+  }
+  flock::mutable_<uint64_t> m(flock::kValMask);
+  for (uint64_t i = 0; i < 2 * flock::kTagLimit; i++) {
+    m.store(flock::kValMask);
+    uint64_t t = flock::tag_of(m.read_raw_packed());
+    ASSERT_NE(t, 0u) << "store " << i;
+    ASSERT_NE(t, 0xFFFFu) << "store " << i;
+  }
+}
+
 TEST(Tagged, WrapSkipsAnnouncedTags) {
   int loc = 0;
   // Announce tags 1 and 2 for this location from this thread's slot by
