@@ -47,9 +47,11 @@
 //    section (same lock), so a forwarded bucket is frozen forever; any
 //    operation that lands on one chases `table->next`. Updaters that
 //    find a resize in progress migrate their own unit first (old
-//    tables only ever drain) plus a small batch claimed from a shared
-//    cursor — and keep helping while merely chasing, so the straggler
-//    tail cannot serialize back-to-back resizes.
+//    tables only ever drain), then claim one contiguous chunk of units
+//    from a shared cursor and migrate it — once per table per update,
+//    whether their bucket was live or they were merely chasing through a
+//    forwarded one, so the straggler tail cannot serialize back-to-back
+//    resizes and no single update pays for more than one chunk.
 //  * Readers never lock and never help: chains are copied, not spliced,
 //    so a scan that raced a migration still sees the frozen pre-forward
 //    chain, and the forwarded flag is published only after the successor
@@ -222,7 +224,10 @@ class hashtable {
 
   static constexpr std::size_t kMinBuckets = 64;
   static constexpr int kCountShards = 32;  // power of two
-  static constexpr int kMigrateBatch = 8;  // units helped per update
+  static constexpr std::size_t kMigrateBatch = 8;  // units per helped chunk
+  // A chunk never straddles the cursor wrap: unit counts are powers of
+  // two >= kMinBuckets and the cursor moves only in whole chunks.
+  static_assert(kMinBuckets % kMigrateBatch == 0);
 
   template <class F>
   static bool acquire(flock::lock& l, F&& f) {
@@ -774,6 +779,7 @@ class hashtable {
   /// newest table. Caller must be inside with_epoch.
   bucket* locate_update(K k) {
     table* t = root_.load();
+    const table* helped = nullptr;  // the table this update helped last
     while (true) {
       std::size_t i = index_in(t, k);
       bucket* s = &t->buckets[i];
@@ -783,18 +789,21 @@ class hashtable {
         // own bucket is still live helped, the drain rate would fall to
         // zero exactly when the last stragglers remain (coupon-collector
         // tail) and back-to-back resizes would serialize behind it.
-        help_resize(t, nxt);
+        if (helped != t) help_resize(t, nxt);
         t = nxt;
         continue;
       }
       table* nxt = t->next.read_raw();
       if (nxt == nullptr) return s;
       // Resize in progress: forward our own unit first (so old tables
-      // only ever drain), then help a small claimed batch, and re-check —
-      // a failed lock attempt means the holder is either the migrator or
-      // a completing updater, so just retry.
-      migrate_unit(t, nxt, i & unit_mask(t, nxt));
-      help_resize(t, nxt);
+      // only ever drain), help one chunk the first time round, and
+      // re-check — a failed lock attempt means the holder is either the
+      // migrator or a completing updater, so just retry the own unit.
+      finish_unit(t, migrate_unit(t, nxt, i & unit_mask(t, nxt)));
+      if (helped != t) {
+        help_resize(t, nxt);
+        helped = t;
+      }
     }
   }
 
@@ -826,18 +835,18 @@ class hashtable {
 
   /// Migrate unit u of the t -> nt resize. Returns after the unit's old
   /// bucket(s) are forwarded or a lock attempt failed (callers retry via
-  /// the wrapping cursor).
-  void migrate_unit(table* t, table* nt, std::size_t u) {
-    if (is_grow(t, nt))
-      migrate_unit_grow(t, nt, u);
-    else
-      migrate_unit_shrink(t, nt, u);
+  /// the wrapping cursor), with the number of buckets THIS call forwarded
+  /// (0 if it lost the race or failed) for the caller to count through
+  /// finish_unit.
+  std::size_t migrate_unit(table* t, table* nt, std::size_t u) {
+    return is_grow(t, nt) ? migrate_unit_grow(t, nt, u)
+                          : migrate_unit_shrink(t, nt, u);
   }
 
   /// Grow unit: split old bucket u into successor buckets u and u+n.
-  void migrate_unit_grow(table* t, table* nt, std::size_t i) {
+  std::size_t migrate_unit_grow(table* t, table* nt, std::size_t i) {
     bucket* s = &t->buckets[i];
-    if (s->removed.read_raw()) return;  // already forwarded
+    if (s->removed.read_raw()) return 0;  // already forwarded
     bucket* lo = &nt->buckets[i];
     bucket* hi = &nt->buckets[i + t->nbuckets()];
     const uint64_t bit = t->nbuckets();  // hash bit the split keys on
@@ -869,7 +878,7 @@ class hashtable {
       return true;
     });
     ver_end(s);
-    finish_unit(t, did ? 1 : 0);
+    return did ? 1 : 0;
   }
 
   /// Shrink unit: merge old buckets u and u+n/2 into successor bucket u,
@@ -881,7 +890,7 @@ class hashtable {
   /// running; the merged chain is therefore built privately and published
   /// with ONE store, strictly before either flag, so the successor bucket
   /// is never observable half-merged.
-  void migrate_unit_shrink(table* t, table* nt, std::size_t u) {
+  std::size_t migrate_unit_shrink(table* t, table* nt, std::size_t u) {
     bucket* lo = &t->buckets[u];
     bucket* hi = &t->buckets[u + nt->nbuckets()];
     bucket* dst = &nt->buckets[u];
@@ -896,7 +905,7 @@ class hashtable {
     // completion, and then fail its validation harmlessly. (The grow
     // unit has no such window: its single flag is the thunk's last
     // store.)
-    if (hi->removed.read_raw()) return;  // unit already migrated
+    if (hi->removed.read_raw()) return 0;  // unit already migrated
     // Seqlock brackets on BOTH source buckets (the merge retires nodes of
     // each and forwards both); nesting order mirrors the lock nest. The
     // destination bucket is pre-swing successor state — unreachable by the
@@ -947,7 +956,7 @@ class hashtable {
     });
     ver_end(hi);
     ver_end(lo);
-    finish_unit(t, did ? 2 : 0);
+    return did ? 2 : 0;
   }
 
   /// Shared unit epilogue: exactly one acquire() returns true per unit
@@ -967,41 +976,43 @@ class hashtable {
       advance_root();
   }
 
-  /// Claim and migrate a small batch of units (the cursor wraps, so
-  /// stragglers whose first lock attempt failed are retried by later
-  /// helpers and a resize finishes under any traffic).
+  /// Claim one contiguous chunk of kMigrateBatch units and migrate it
+  /// (the cursor wraps, so stragglers whose first lock attempt failed are
+  /// retried by later helpers and a resize finishes under any traffic).
+  /// One claim and one count per chunk: the chunk walks a run of adjacent
+  /// buckets instead of interleaving single claims with other helpers on
+  /// neighbouring cache lines, and its forwarded buckets reach `migrated`
+  /// in a single add.
   void help_resize(table* t, table* nt) {
     const std::size_t n = t->nbuckets();
+    // mo: acquire — completion read: pairs with finish_unit's acq_rel
+    // adds so a full count implies every unit's stores are visible.
+    if (t->migrated.load(std::memory_order_acquire) >= n) {
+      advance_root();  // idempotent; rescues a swing whose winner stalled
+      return;
+    }
     const std::size_t units = unit_count(t, nt);
-    for (int j = 0; j < kMigrateBatch; j++) {
-      // mo: acquire — completion read: pairs with finish_unit's acq_rel
-      // adds so a full count implies every unit's stores are visible.
-      if (t->migrated.load(std::memory_order_acquire) >= n) {
-        advance_root();  // idempotent; rescues a swing whose winner stalled
-        return;
-      }
-      // mo: relaxed — the cursor only distributes claims; migrate_unit
-      // revalidates everything under the bucket lock.
-      std::size_t claimed = t->cursor.fetch_add(1, std::memory_order_relaxed);
-      migrate_unit(t, nt, claimed & (units - 1));
-      // Completion recovery: the fast-path `migrated` count is bumped by
-      // each unit's winning migrator outside its critical section, so a
-      // winner stalled (or lost) between forwarding and counting would
-      // leave it short. Once per cursor wrap — every unit has been
-      // attempted at least once — re-derive completion from the monotone
-      // forwarded flags themselves, so ANY thread can finish the resize.
-      if (claimed >= units && (claimed & (units - 1)) == 0) {
-        std::size_t fwd = 0;
-        for (std::size_t i = 0; i < n; i++)
-          if (t->buckets[i].removed.read_raw()) fwd++;
-        if (fwd == n) {
-          // mo: release — re-derived completion: publishes (transitively,
-          // via the acquire flag reads above) every unit's stores to the
-          // acquire completion reads, like finish_unit's adds would have.
-          t->migrated.store(n, std::memory_order_release);
-          advance_root();
-        }
-      }
+    // mo: relaxed — the cursor only distributes claims; migrate_unit
+    // revalidates everything under the bucket lock.
+    const std::size_t claimed =
+        t->cursor.fetch_add(kMigrateBatch, std::memory_order_relaxed);
+    std::size_t forwarded = 0;
+    for (std::size_t j = 0; j < kMigrateBatch; j++)
+      forwarded += migrate_unit(t, nt, (claimed + j) & (units - 1));
+    finish_unit(t, forwarded);
+    // Completion recovery: the fast-path `migrated` count is bumped by
+    // each chunk's or unit's migrator outside the critical sections, so a
+    // migrator stalled (or lost) between forwarding and counting would
+    // leave it short. Once per cursor wrap — every unit has been
+    // attempted at least once — re-derive completion from the monotone
+    // forwarded flags themselves, so ANY thread can finish the resize.
+    if (claimed >= units && (claimed & (units - 1)) == 0 &&
+        forwarded_count(t) == n) {
+      // mo: release — re-derived completion: publishes (via the acquire
+      // flag reads in forwarded_count) every unit's stores to the
+      // acquire completion reads, like finish_unit's adds would have.
+      t->migrated.store(n, std::memory_order_release);
+      advance_root();
     }
   }
 
@@ -1093,20 +1104,19 @@ class hashtable {
     const bool shrink =
         !grow && t->nbuckets() > kMinBuckets && c < n / 4;
     if (!grow && !shrink) return;
-    // Duplicate-allocation damping: building a large successor takes long
-    // enough that concurrent triggers would each construct (and all but
-    // one discard) a full bucket array. The first trigger sets the
-    // hint; later ones wait a bounded spin for the install instead of
-    // allocating. The wait is bounded, so a stalled allocator cannot
-    // wedge a resize — after it, the duplicate-and-discard race below is
-    // still the lock-free fallback, just no longer the common case.
+    // One builder per successor: the first trigger takes the hint and
+    // builds; later triggers return at once, because any duplicate they
+    // built would be thrown away by the install CAS below. The hint is not
+    // a lock, so a builder that stalls or dies holding it must not wedge
+    // resizing: once occupancy has run a full factor of 2 past the
+    // threshold (grow: c >= 2n; shrink: c < n/8) — which a live builder
+    // never lets happen — a trigger builds anyway and the install CAS
+    // picks one winner.
     // mo: acq_rel — hint claim: release publishes this trigger's policy
     // reads to the re-armer, acquire sees a previous claimant's re-arm.
-    if (t->resize_hint.exchange(true, std::memory_order_acq_rel)) {
-      for (int i = 0; i < 4096 && t->next.read_raw() == nullptr; i++)
-        flock::detail::cpu_pause();
-      if (t->next.read_raw() != nullptr) return;
-    }
+    if (t->resize_hint.exchange(true, std::memory_order_acq_rel) &&
+        !(grow ? c >= 2 * n : c < n / 8))
+      return;
     // The resize trigger is the table's one *survivable* allocation-failure
     // surface: a resize is an optimization, so when the successor cannot be
     // built — an injected "ht.resize.alloc" fault or a real OOM propagated

@@ -481,6 +481,69 @@ TEST_F(ChaosTest, ResizeAllocFailureDefersThenRecovers) {
   EXPECT_GE(flock::stats().chaos_alloc_fails, 8u);
 }
 
+// Kill the first successor builder at its allocation, while it holds the
+// table's resize hint. Later triggers leave the build to the hint holder
+// until occupancy runs a full factor of 2 past the threshold; from there
+// any trigger builds, so a dead builder cannot wedge growth. Once
+// released, the late builder must lose the install CAS and free its
+// table.
+TEST_F(ChaosTest, KilledSuccessorBuilderDoesNotWedgeGrowth) {
+  for (bool blocking : {false, true}) {
+    SCOPED_TRACE(blocking ? "blocking" : "lockfree");
+    chaos::reset();
+    flock::set_blocking(blocking);
+    flock::epoch_manager::instance().flush();
+    const long long a0 = flock::arrays_outstanding();
+    {
+      flock_ds::hashtable<long, long> ht(64);
+      chaos::arm_options o;
+      o.victim_only = true;
+      ASSERT_TRUE(chaos::arm("ht.resize.alloc", chaos::fault::kill, o));
+
+      // Single victim inserter: its 64th insert ticks the policy at
+      // c = 64 >= n, takes the hint and parks before building.
+      std::thread victim([&] {
+        chaos::victim_scope vs;
+        for (long k = 0; k < 64; k++) ht.insert(k, k);
+      });
+      spin_until([] { return chaos::parked() == 1; });
+      EXPECT_EQ(ht.grow_count(), 0u);
+
+      // A second thread keeps inserting. Its triggers below c = 2n find
+      // the hint taken and return; the first one at c >= 2n builds.
+      long m = 0;
+      for (; m < 4096 && ht.grow_count() == 0; m++)
+        EXPECT_TRUE(ht.insert((1L << 20) + m, m));
+      EXPECT_EQ(ht.grow_count(), 1u) << "growth wedged behind a dead builder";
+      EXPECT_GE(64 + m, 128) << "duplicate successor built below 2n";
+
+      // Net-zero churn drains the migration; removing 32 keys first keeps
+      // the grown table (n = 128) below its own grow threshold.
+      for (long r = 0; r < 32; r++) EXPECT_TRUE(ht.remove((1L << 20) + r));
+      const long scratch = 1L << 30;
+      for (int i = 0; i < 4000; i++) {
+        ht.insert(scratch, i);
+        ht.remove(scratch);
+        if (ht.bucket_count() == 128 && !ht.migration_stuck(1024)) break;
+      }
+      EXPECT_EQ(ht.bucket_count(), 128u);
+      EXPECT_TRUE(ht.check_invariants(/*audit_migration=*/true));
+
+      // The late build loses the install CAS: no second grow is counted,
+      // and its table is freed, never published.
+      chaos::release_killed();
+      victim.join();
+      EXPECT_EQ(ht.grow_count(), 1u);
+      EXPECT_EQ(ht.size(), static_cast<std::size_t>(64 + m - 32));
+      EXPECT_TRUE(ht.check_invariants(/*audit_migration=*/true));
+      flock::epoch_manager::instance().flush();
+      EXPECT_EQ(flock::arrays_outstanding(), a0 + 1) << "one live table";
+    }
+    flock::epoch_manager::instance().flush();
+    EXPECT_EQ(flock::arrays_outstanding(), a0);
+  }
+}
+
 // --- cross-shard move windows (store/sharded_map.hpp) ----------------------
 
 TEST_F(ChaosTest, MoveWindowsAreCrossedAndSurviveStalls) {
