@@ -74,13 +74,6 @@ void BM_mutable_store_logged(benchmark::State& state) {
 }
 BENCHMARK(BM_mutable_store_logged);
 
-void BM_mutable_dw_store(benchmark::State& state) {
-  flock::mutable_dw<uint64_t> m(0);
-  uint64_t i = 0;
-  for (auto _ : state) m.store(i++);
-}
-BENCHMARK(BM_mutable_dw_store);
-
 // --- lock acquisition cycle -----------------------------------------------
 
 void BM_trylock_cycle_lockfree(benchmark::State& state) {
@@ -145,7 +138,7 @@ void BM_contended_commit(benchmark::State& state) {
     // All threads commit to the same slot: exactly the helping-storm
     // pattern of §6.
     flock::tls_log() = {g_fix.blk, 0};
-    benchmark::DoNotOptimize(flock::commit64(state.thread_index() + 1));
+    benchmark::DoNotOptimize(flock::commit_value(state.thread_index() + 1));
   }
   flock::tls_log() = {};
   if (state.thread_index() == 0) {

@@ -99,7 +99,7 @@ descriptor* create_descriptor_ctx(thread_context* c, F&& f) {
   int64_t e = c->announced.load(std::memory_order_relaxed);
   mine->epoch = e >= 0 ? e : epoch_manager::instance().current_epoch();
   auto [committed, first] =
-      commit64_first_ctx<Ccas>(c, reinterpret_cast<uint64_t>(mine));
+      commit_raw_ctx<Ccas>(c, reinterpret_cast<uint64_t>(mine));
   if (first) return mine;
   pool_delete_ctx(c, mine);
   return reinterpret_cast<descriptor*>(committed);

@@ -321,7 +321,7 @@ inline bool help_throttled(thread_context* c, lock_word& st,
 /// exactly one run of the enclosing thunk performs it.
 template <bool Ccas>
 inline void retire_logged(thread_context* c, descriptor* d) {
-  if (commit64_first_ctx<Ccas>(c, 1).second) epoch_retire_ctx(c, d);
+  if (commit_raw_ctx<Ccas>(c, 1).second) epoch_retire_ctx(c, d);
 }
 
 // --- lock-free (helping) mode ---------------------------------------------
@@ -394,11 +394,12 @@ bool try_lock_helping(thread_context* c, lock_word& st, F&& f) {
     // judged. Consumes no log slots, so replays may legally diverge here.
     FLOCK_FAULTPOINT("lock.install.post");
     uint64_t nowv = val_of(st.load_packed_ctx<Ccas>(c));  // logged
-    // mo: acquire — raw done-read folded into the log via commit_bool;
+    // mo: acquire — raw done-read folded into the log (one slot);
     // pairs with run_and_unlock's release so an adopted "done" implies
     // the thunk's effects.
     bool d_done =
-        commit_bool_ctx<Ccas>(c, d->done.load(std::memory_order_acquire));
+        commit_raw_ctx<Ccas>(c, d->done.load(std::memory_order_acquire))
+            .first != 0;
     if (d_done || nowv == minev) {
       // Acquired (possibly already helped to completion).
       bool result = run_and_unlock<Ccas>(c, st, d);
@@ -454,7 +455,8 @@ bool strict_lock_helping(thread_context* c, lock_word& st, F&& f) {
       // mo: acquire — same logged done-read as try_lock_helping's nested
       // path; pairs with run_and_unlock's release.
       bool d_done =
-          commit_bool_ctx<Ccas>(c, d->done.load(std::memory_order_acquire));
+          commit_raw_ctx<Ccas>(c, d->done.load(std::memory_order_acquire))
+              .first != 0;
       if (d_done || nowv == minev) {
         bool result = run_and_unlock<Ccas>(c, st, d);
         retire_logged<Ccas>(c, d);

@@ -16,13 +16,8 @@
 // and retire flags are 0 or 1. The public commit_value asserts it.
 //
 // Slots are 64 bits so a commit is an inline 8-byte load plus `lock
-// cmpxchg`; 16-byte atomics compile to libatomic calls. The one payload
-// wider than a word, mutable_dw's (value, counter) pair, is committed by
-// commit_pair_ctx into a 16-byte-aligned pair of adjacent slots with one
-// 16-byte CAS. An odd position, or a block's last slot, is skipped (left
-// empty) so the pair starts at the next aligned pair; every run skips the
-// same slots, so positions stay synchronized. The pair is stored as is,
-// without the +1: its counter is >= 1, so a committed pair is never zero.
+// cmpxchg`. Every payload fits in one word, so the library needs no
+// 16-byte atomic (and links no libatomic).
 //
 // Commits use compare-and-compare-and-swap (§6 "Avoiding CASes"): read the
 // slot first and skip the CAS when it is already full.
@@ -31,7 +26,8 @@
 // takes the caller's thread context, so the lock machinery (which
 // dispatches on the mode once per acquisition, see lock.hpp) performs no
 // TLS lookups and no shared-flag loads inside its loops. The public
-// commit_* spellings fetch the context and load the flag once per call.
+// commit_raw / commit_value fetch the context and load the flag once per
+// call.
 //
 // Logs grow in blocks of kLogBlockEntries slots plus a next pointer, one
 // cache line (§6 "Arbitrary Length Logs"); extending the chain is itself
@@ -59,21 +55,13 @@ struct log_entry {
 static_assert(std::atomic<uint64_t>::is_always_lock_free,
               "log slots must commit with an inline 8-byte CAS");
 
-// Cache-line aligned: the block is one line, and even slots are 16-byte
-// aligned for commit_pair_ctx.
+// Cache-line aligned: the block is one line.
 struct alignas(kCacheLine) log_block {
   log_entry entries[kLogBlockEntries];
   std::atomic<log_block*> next{nullptr};
 };
 static_assert(sizeof(log_block) == kCacheLine,
               "a log block is one cache line: 7 slots and the next pointer");
-
-/// Two words committed together into an aligned pair of slots
-/// (commit_pair_ctx); `hi` must be nonzero.
-struct alignas(16) log_pair {
-  uint64_t lo;
-  uint64_t hi;
-};
 
 /// Thread-local cursor into the log of the thunk the thread is currently
 /// running; {nullptr, 0} outside of any thunk (then commits pass through).
@@ -152,55 +140,6 @@ inline std::pair<uint64_t, bool> commit_raw_ctx(thread_context* c,
   return {expected - 1, false};
 }
 
-/// Commit a two-word payload (mutable_dw's value and counter) into the
-/// next 16-byte-aligned pair of slots with one 16-byte CAS, skipping an
-/// odd position or a block's last slot (see the header). `p.hi` must be
-/// nonzero: a pair is empty exactly when its hi word is 0.
-template <bool Ccas>
-inline log_pair commit_pair_ctx(thread_context* c, log_pair p) {
-  log_cursor& cur = c->log;
-  if (cur.block == nullptr) return p;  // outside any lock
-  assert(p.hi != 0 && "a committed pair needs a nonzero hi word");
-  if (cur.pos % 2 != 0) log_bump(c, cur);  // pad to an even slot
-  if (cur.pos + 1 >= kLogBlockEntries) log_bump(c, cur);  // no partner
-  log_entry* slots = &cur.block->entries[cur.pos];  // [0] = lo, [1] = hi
-  log_bump(c, cur);
-  log_bump(c, cur);
-  ++c->commit_count;
-
-  if constexpr (Ccas) {
-    // mo: acquire — the ccas pre-check adopts like the single-slot core.
-    uint64_t hi = slots[1].v.load(std::memory_order_acquire);
-    // mo: acquire — read after hi: the pair was written by one 16-byte
-    // CAS, so once hi reads nonzero, lo holds the committed lo too.
-    if (hi != 0) return {slots[0].v.load(std::memory_order_acquire), hi};
-  }
-  log_pair expected{0, 0};
-  // mo: acq_rel / acquire-on-failure — same adoption argument as the
-  // single-slot CAS in commit_raw_ctx.
-  if (__atomic_compare_exchange(reinterpret_cast<log_pair*>(slots), &expected,
-                                &p, /*weak=*/false, __ATOMIC_ACQ_REL,
-                                __ATOMIC_ACQUIRE))
-    return p;
-  return expected;
-}
-
-template <bool Ccas>
-inline uint64_t commit64_ctx(thread_context* c, uint64_t v) {
-  return commit_raw_ctx<Ccas>(c, v).first;
-}
-
-template <bool Ccas>
-inline std::pair<uint64_t, bool> commit64_first_ctx(thread_context* c,
-                                                    uint64_t v) {
-  return commit_raw_ctx<Ccas>(c, v);
-}
-
-template <bool Ccas>
-inline bool commit_bool_ctx(thread_context* c, bool b) {
-  return commit64_ctx<Ccas>(c, b ? 1 : 0) != 0;
-}
-
 }  // namespace detail
 
 /// commitValue on a raw 64-bit payload other than 2^64 - 1 (public
@@ -211,21 +150,12 @@ inline std::pair<uint64_t, bool> commit_raw(uint64_t payload) {
                     : detail::commit_raw_ctx<false>(c, payload);
 }
 
-/// Convenience: commit a 64-bit value.
-inline uint64_t commit64(uint64_t v) { return commit_raw(v).first; }
-
-inline std::pair<uint64_t, bool> commit64_first(uint64_t v) {
-  return commit_raw(v);
-}
-
-inline bool commit_bool(bool b) { return commit64(b ? 1 : 0) != 0; }
-
 /// Users can commit arbitrary nondeterministic results (paper §3.2: "The
 /// commitValue can also be used directly by the user"). Any value except
 /// 2^64 - 1, which a slot cannot hold (slots store value + 1, 0 = empty).
 inline uint64_t commit_value(uint64_t v) {
   assert(v != ~uint64_t{0} && "commit_value cannot log 2^64 - 1");
-  return commit64(v);
+  return commit_raw(v).first;
 }
 
 /// Idempotent allocation (Alg. 2 line 51): every run constructs its own
@@ -235,9 +165,9 @@ T* idem_new(Args&&... args) {
   detail::thread_context* c = detail::my_ctx();
   T* mine = detail::pool_new_ctx<T>(c, std::forward<Args>(args)...);
   auto r = use_ccas()
-               ? detail::commit64_first_ctx<true>(
+               ? detail::commit_raw_ctx<true>(
                      c, reinterpret_cast<uint64_t>(mine))
-               : detail::commit64_first_ctx<false>(
+               : detail::commit_raw_ctx<false>(
                      c, reinterpret_cast<uint64_t>(mine));
   if (r.second) return mine;
   detail::pool_delete_ctx(c, mine);  // never published: immediate free is safe
@@ -249,8 +179,8 @@ T* idem_new(Args&&... args) {
 template <class T>
 void idem_retire(T* obj) {
   detail::thread_context* c = detail::my_ctx();
-  bool first = use_ccas() ? detail::commit64_first_ctx<true>(c, 1).second
-                          : detail::commit64_first_ctx<false>(c, 1).second;
+  bool first = use_ccas() ? detail::commit_raw_ctx<true>(c, 1).second
+                          : detail::commit_raw_ctx<false>(c, 1).second;
   if (first) detail::epoch_retire_ctx(c, obj);
 }
 

@@ -10,13 +10,13 @@
 //  * a writer that wraps a location's 16-bit tag scans the contexts and
 //    picks the next tag not announced for that location.
 //
-// Residual assumption (documented per DESIGN.md §5): an announcement that
-// races with a concurrent wrap scan is only dangerous if the location's
-// tag additionally wraps all the way around (2^16 stores) while the
-// announcing helper sleeps *and* the packed values collide. The paper's
-// own scheme ("the full description is beyond the scope of this paper")
-// accepts equivalent engineering assumptions; the fully sound
-// mutable_dw<T> (64-bit counter) is available where this is unacceptable.
+// Non-goal: ABA across a full tag cycle. A helper logs its expected word
+// before announcing it, so a wrap scan in that window cannot see it. Its
+// stale CAS could succeed only if, inside that one window, the location
+// takes a full cycle of tag-bumping writes (kTagMax = 2^16 - 2, more when
+// the scan skips announced tags) and lands on the same packed value. The
+// paper's scheme accepts the same assumption ("the full description is
+// beyond the scope of this paper"); every atomic here stays one word.
 #pragma once
 
 #include <atomic>
@@ -136,7 +136,7 @@ uint64_t to_bits48(T v) {
   uint64_t b = 0;
   std::memcpy(&b, &v, sizeof(T));
   assert((b & ~kValMask) == 0 &&
-         "value does not fit in 48 bits; use mutable_dw<T>");
+         "values must fit in 48 bits; store a pointer to wider data");
   return b;
 }
 

@@ -20,15 +20,11 @@
 #pragma once
 
 #include <atomic>
-#include <cassert>
 #include <cstdint>
 #include <mutex>
-#include <vector>
-
-#ifdef FLOCK_DEBUG_API
 #include <cstdio>
 #include <cstdlib>
-#endif
+#include <vector>
 
 #include "config.hpp"
 
@@ -122,6 +118,16 @@ struct alignas(2 * kCacheLine) thread_context {
 
 inline constinit thread_context g_ctx[kMaxThreads]{};
 
+/// Aborts: one more live thread than kMaxThreads. Out of line and cold so
+/// the cap check adds only a compare and a call to thread registration.
+[[noreturn, gnu::cold, gnu::noinline]] inline void too_many_threads() {
+  std::fprintf(stderr,
+               "[flock] more than kMaxThreads = %d live threads; raise "
+               "kMaxThreads (config.hpp)\n",
+               kMaxThreads);
+  std::abort();
+}
+
 /// Dense id allocation with recycling (cold path: thread birth/death only).
 class id_allocator {
  public:
@@ -137,7 +143,9 @@ class id_allocator {
       free_.pop_back();
       return id;
     }
-    assert(next_ < kMaxThreads && "too many live threads");
+    // Checked in every build: past the cap, g_ctx[next_] is out of bounds.
+    if (next_ >= kMaxThreads) [[unlikely]]
+      too_many_threads();
     return next_++;
   }
 

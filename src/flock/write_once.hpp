@@ -40,8 +40,8 @@ class write_once {
     // the bucket copies a forwarded flag covers).
     uint64_t b = word_.load(std::memory_order_acquire);
     if (c->log.block != nullptr) {
-      b = use_ccas() ? detail::commit64_ctx<true>(c, b)
-                     : detail::commit64_ctx<false>(c, b);
+      b = use_ccas() ? detail::commit_raw_ctx<true>(c, b).first
+                     : detail::commit_raw_ctx<false>(c, b).first;
     }
     return from_bits48<T>(b);
   }

@@ -33,11 +33,11 @@ struct scoped_log {
 
 TEST(Log, PassThroughOutsideThunk) {
   ASSERT_FALSE(flock::in_thunk());
-  auto [v, first] = flock::commit64_first(42);
+  auto [v, first] = flock::commit_raw(42);
   EXPECT_EQ(v, 42u);
   EXPECT_TRUE(first);
   // Every commit outside a thunk is "first": nothing is recorded.
-  auto [v2, first2] = flock::commit64_first(43);
+  auto [v2, first2] = flock::commit_raw(43);
   EXPECT_EQ(v2, 43u);
   EXPECT_TRUE(first2);
 }
@@ -45,12 +45,12 @@ TEST(Log, PassThroughOutsideThunk) {
 TEST(Log, FirstCommitWinsWithinThunk) {
   scoped_log lg;
   ASSERT_TRUE(flock::in_thunk());
-  auto [v, first] = flock::commit64_first(7);
+  auto [v, first] = flock::commit_raw(7);
   EXPECT_EQ(v, 7u);
   EXPECT_TRUE(first);
   // Replay from position 0 (as a helper would): sees the committed value.
   flock::tls_log() = {lg.head, 0};
-  auto [v2, first2] = flock::commit64_first(999);
+  auto [v2, first2] = flock::commit_raw(999);
   EXPECT_EQ(v2, 7u);
   EXPECT_FALSE(first2);
 }
@@ -58,11 +58,11 @@ TEST(Log, FirstCommitWinsWithinThunk) {
 TEST(Log, ZeroIsACommittableValue) {
   // The +1 slot encoding distinguishes "committed 0" from "empty".
   scoped_log lg;
-  auto [v, first] = flock::commit64_first(0);
+  auto [v, first] = flock::commit_raw(0);
   EXPECT_EQ(v, 0u);
   EXPECT_TRUE(first);
   flock::tls_log() = {lg.head, 0};
-  auto [v2, first2] = flock::commit64_first(5);
+  auto [v2, first2] = flock::commit_raw(5);
   EXPECT_EQ(v2, 0u);
   EXPECT_FALSE(first2);
 }
@@ -70,23 +70,23 @@ TEST(Log, ZeroIsACommittableValue) {
 TEST(Log, SequentialPositionsIndependent) {
   scoped_log lg;
   for (uint64_t i = 0; i < 5; i++)
-    EXPECT_EQ(flock::commit64(100 + i), 100 + i);
+    EXPECT_EQ(flock::commit_value(100 + i), 100 + i);
   flock::tls_log() = {lg.head, 0};
   for (uint64_t i = 0; i < 5; i++)
-    EXPECT_EQ(flock::commit64(777), 100 + i);  // replay sees originals
+    EXPECT_EQ(flock::commit_value(777), 100 + i);  // replay sees originals
 }
 
 TEST(Log, GrowsAcrossBlocks) {
   scoped_log lg;
   const int n = flock::kLogBlockEntries * 3 + 2;
   for (int i = 0; i < n; i++)
-    EXPECT_EQ(flock::commit64(static_cast<uint64_t>(i)),
+    EXPECT_EQ(flock::commit_value(static_cast<uint64_t>(i)),
               static_cast<uint64_t>(i));
   EXPECT_NE(lg.head->next.load(), nullptr);
   // Replay the whole thing.
   flock::tls_log() = {lg.head, 0};
   for (int i = 0; i < n; i++)
-    EXPECT_EQ(flock::commit64(12345), static_cast<uint64_t>(i));
+    EXPECT_EQ(flock::commit_value(12345), static_cast<uint64_t>(i));
 }
 
 // Slots store payload + 1 with 0 as empty: the payloads next to the
@@ -120,7 +120,7 @@ TEST(Log, BoundaryPayloadsRoundTrip) {
     }
     flock::tls_log() = {lg.head, 0};
     EXPECT_EQ(flock::commit_value(1), 0u);
-    EXPECT_FALSE(flock::commit_bool(true));
+    EXPECT_EQ(flock::commit_raw(true).first, 0u);  // adopts `false`
   }
   flock::set_ccas(true);
 }
@@ -145,7 +145,7 @@ TEST(Log, ConcurrentReplayAgreement) {
       flock::tls_log() = {head, 0};
       for (int i = 0; i < kSlots; i++) {
         auto [v, first] =
-            flock::commit64_first(static_cast<uint64_t>(t * 1000 + i));
+            flock::commit_raw(static_cast<uint64_t>(t * 1000 + i));
         if (first) winners[i].fetch_add(1);
         seen[t].push_back(v);
       }
@@ -174,9 +174,9 @@ TEST(Log, CcasToggleStillCorrect) {
   flock::set_ccas(false);
   {
     scoped_log lg;
-    EXPECT_EQ(flock::commit64(9), 9u);
+    EXPECT_EQ(flock::commit_value(9), 9u);
     flock::tls_log() = {lg.head, 0};
-    EXPECT_EQ(flock::commit64(10), 9u);
+    EXPECT_EQ(flock::commit_value(10), 9u);
   }
   flock::set_ccas(true);
 }

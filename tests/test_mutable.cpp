@@ -1,4 +1,4 @@
-// Tests for mutable_<T> (compact) and mutable_dw<T>: atomic semantics
+// Tests for mutable_<T> (compact): atomic semantics
 // outside thunks, logged semantics inside thunks, store/CAM idempotence.
 #include <gtest/gtest.h>
 
@@ -136,118 +136,6 @@ TEST(MutableCompact, ConcurrentStoreReplayOnce) {
     go.store(true);
     for (auto& t : ts) t.join();
     EXPECT_EQ(m.read_raw(), 1u) << "round " << round;
-    flock::pool_delete(head);
-  }
-}
-
-// ---------------- double-word ----------------
-
-TEST(MutableDW, LoadStoreFull64) {
-  flock::mutable_dw<uint64_t> m(~0ull);
-  EXPECT_EQ(m.load(), ~0ull);
-  m.store(0x123456789abcdef0ull);
-  EXPECT_EQ(m.load(), 0x123456789abcdef0ull);
-}
-
-TEST(MutableDW, CamSemantics) {
-  flock::mutable_dw<int64_t> m(-1);
-  m.cam(0, 7);
-  EXPECT_EQ(m.load(), -1);
-  m.cam(-1, 7);
-  EXPECT_EQ(m.load(), 7);
-}
-
-TEST(MutableDW, StoreIdempotentAcrossReplays) {
-  flock::mutable_dw<uint64_t> m(10);
-  scoped_log lg;
-  m.store(20);
-  flock::log_cursor inner = flock::tls_log();
-  flock::tls_log() = {};
-  m.store(20);  // same VALUE, new counter — true ABA on the value
-  flock::tls_log() = inner;
-  lg.replay();
-  m.store(20);  // stale replay: counter mismatch, must not fire
-  // Observable state: value 20, exactly 3 counter bumps would mean the
-  // replay fired; verify by storing a sentinel whose success implies a
-  // consistent counter chain.
-  flock::tls_log() = {};
-  m.store(99);
-  EXPECT_EQ(m.load(), 99u);
-}
-
-// A logged mutable_dw load commits (value, counter) into an aligned pair
-// of log slots. Full 64-bit values must survive the log and its replay
-// whether the cursor starts even, odd, or on a block's last slot (where
-// the pair moves to the next block).
-TEST(MutableDW, LoggedFull64AcrossReplays) {
-  static_assert(flock::kLogBlockEntries == 7, "cases below assume 7 slots");
-  struct layout {
-    int lead;         // single-slot commits before the first pair
-    int pos_after;    // cursor after the first pair
-    bool next_block;  // the first pair moved to the second block
-  };
-  for (layout l : {layout{0, 2, false}, layout{1, 4, false},
-                   layout{5, 2, true}, layout{6, 2, true}}) {
-    SCOPED_TRACE(l.lead);
-    flock::mutable_dw<uint64_t> lu(~0ull), su(0);
-    flock::mutable_dw<int64_t> ls(-1), cs(3);
-    scoped_log lg;
-    auto run = [&] {
-      for (int i = 0; i < l.lead; i++)
-        flock::commit64(static_cast<uint64_t>(i));
-      EXPECT_EQ(lu.load(), ~0ull);
-      EXPECT_EQ(flock::tls_log().pos, l.pos_after);
-      EXPECT_EQ(flock::tls_log().block != lg.head, l.next_block);
-      EXPECT_EQ(ls.load(), -1);
-      su.store(~0ull);
-      cs.cam(3, -1);
-    };
-    run();
-    EXPECT_EQ(su.read_raw(), ~0ull);
-    EXPECT_EQ(cs.read_raw(), -1);
-    flock::log_cursor end = flock::tls_log();
-
-    // Interference outside the thunk, restoring cs's value (ABA).
-    flock::tls_log() = {};
-    lu.store(1);
-    ls.store(2);
-    su.store(4);
-    cs.store(3);
-
-    // Replays adopt the logged loads and their stale store/CAM fail, both
-    // through the ccas pre-check and through a failed pair CAS.
-    for (bool ccas : {true, false}) {
-      SCOPED_TRACE(ccas);
-      flock::set_ccas(ccas);
-      lg.replay();
-      run();
-      EXPECT_EQ(su.read_raw(), 4u);
-      EXPECT_EQ(cs.read_raw(), 3);
-      EXPECT_EQ(flock::tls_log().block, end.block);
-      EXPECT_EQ(flock::tls_log().pos, end.pos);
-    }
-    flock::set_ccas(true);
-  }
-}
-
-TEST(MutableDW, ConcurrentIncrementViaReplayAppliesOnce) {
-  for (int round = 0; round < 50; round++) {
-    flock::mutable_dw<uint64_t> m(100);
-    auto* head = flock::pool_new<flock::log_block>();
-    std::atomic<bool> go{false};
-    std::vector<std::thread> ts;
-    for (int t = 0; t < 4; t++) {
-      ts.emplace_back([&] {
-        while (!go.load()) {
-        }
-        flock::tls_log() = {head, 0};
-        m.store(m.load() + 1);
-        flock::tls_log() = {};
-      });
-    }
-    go.store(true);
-    for (auto& t : ts) t.join();
-    EXPECT_EQ(m.read_raw(), 101u) << "round " << round;
     flock::pool_delete(head);
   }
 }

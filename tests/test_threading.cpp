@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <set>
 #include <thread>
 #include <vector>
@@ -56,6 +57,27 @@ TEST(Threading, IdsRecycledAfterExit) {
 TEST(Threading, BoundCoversIssuedIds) {
   int id = flock::thread_id();
   EXPECT_GT(flock::thread_id_bound(), id);
+}
+
+// One live thread past kMaxThreads must abort with a message naming the
+// cap, in every build (NDEBUG too), instead of writing past the end of
+// the per-thread context array.
+TEST(Threading, ThreadCapAbortsInsteadOfOverflowing) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(([] {
+                 constexpr int kThreads = flock::kMaxThreads + 1;
+                 std::latch all_live(kThreads);
+                 std::vector<std::thread> ts;
+                 ts.reserve(kThreads);
+                 for (int i = 0; i < kThreads; i++) {
+                   ts.emplace_back([&] {
+                     flock::thread_id();  // registers: takes an id
+                     all_live.arrive_and_wait();
+                   });
+                 }
+                 for (auto& t : ts) t.join();
+               }()),
+               "kMaxThreads");
 }
 
 }  // namespace
