@@ -1,7 +1,8 @@
 // micro_flock — microbenchmarks for the paper's §6/§8 overhead claims:
 //  * cost of a logged vs raw mutable load/store (the idempotence tax);
 //  * descriptor allocation + try_lock cycle in both modes ("(1) allocating
-//    and initializing a new descriptor every time a lock is acquired");
+//    and initializing a new descriptor every time a lock is acquired"),
+//    single and 2-deep nested;
 //  * commitValue under contention with compare-and-compare-and-swap on
 //    vs off ("this rather simple change made a significant improvement...
 //    sometimes a factor of two or more");
@@ -111,6 +112,41 @@ void BM_trylock_cycle_blocking(benchmark::State& state) {
   flock::pool_delete(x);
 }
 BENCHMARK(BM_trylock_cycle_blocking);
+
+// A 2-deep nest per iteration. In lock-free mode the inner descriptor
+// waits on the owner's deferred list and goes back to the pool with the
+// outer one (lock.hpp), so neither reaches the epoch.
+void nested_trylock_cycle(benchmark::State& state) {
+  flock::lock outer, inner;
+  auto* x = flock::pool_new<flock::mutable_<uint64_t>>();
+  x->init(0);
+  flock::lock* in = &inner;
+  for (auto _ : state) {
+    flock::with_epoch([&] {
+      return flock::try_lock(outer, [in, x] {
+        return flock::try_lock(*in, [x] {
+          x->store(x->load() + 1);
+          return true;
+        });
+      });
+    });
+  }
+  flock::pool_delete(x);
+}
+
+void BM_trylock_nested_lockfree(benchmark::State& state) {
+  flock::set_blocking(false);
+  nested_trylock_cycle(state);
+  flock::epoch_manager::instance().flush();
+}
+BENCHMARK(BM_trylock_nested_lockfree);
+
+void BM_trylock_nested_blocking(benchmark::State& state) {
+  flock::set_blocking(true);
+  nested_trylock_cycle(state);
+  flock::set_blocking(false);
+}
+BENCHMARK(BM_trylock_nested_blocking);
 
 void BM_descriptor_create_destroy(benchmark::State& state) {
   for (auto _ : state) {

@@ -2,7 +2,9 @@
 // lock (paper §1, §3, §4): the thunk to run, the shared idempotence log,
 // a done flag, plus two implementation fields from §6: the creation epoch
 // (helpers adopt it) and a helped flag (never-helped descriptors are
-// reused immediately instead of epoch-retired).
+// reused immediately instead of epoch-retired — at every nesting depth:
+// a nested descriptor waits on its owner's deferred list until the
+// enclosing top-level acquisition judges the whole chain, see lock.hpp).
 //
 // The first log block (one cache line: 7 slots and the next pointer) is
 // embedded, so acquiring a lock costs exactly one pool allocation.
@@ -32,8 +34,17 @@ struct descriptor {
   // Helpers replaying a nested acquisition create loser candidates with
   // their own parent, but only the first-committed descriptor survives,
   // so the chain reflects the original nesting.
+  // A never-helped chain, nested parents included, is pool-reused as a
+  // whole right after its top-level unlock, so parent pointers go stale
+  // as soon as the top-level acquisition returns. A helped chain is
+  // epoch-retired as a whole, so a walk from a helper's validated run
+  // still reads live parents; a walk that reaches recycled memory reads
+  // mapped slab storage and can only fail to match or pass spuriously.
   descriptor* dbg_parent = nullptr;
 #endif
+  // Owner-private link of the deferred nested-retire list (lock.hpp,
+  // retire_logged). Sits in the tail padding: sizeof is unchanged.
+  descriptor* deferred_next = nullptr;
 
   descriptor() = default;
   descriptor(const descriptor&) = delete;

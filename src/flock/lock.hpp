@@ -83,6 +83,29 @@
 // reloads. Nested acquisitions keep the fully logged deterministic
 // structure, since there every branch must consume identical log slots
 // across runs.
+//
+// The §6 reuse shortcut covers every nesting depth. When this thread runs
+// its own top-level descriptor (owner_run in the thread context), the run
+// of the enclosing thunk that wins a nested descriptor's logged retire
+// commit (retire_logged) parks it on the thread's deferred list instead of
+// epoch-retiring it. Other threads reach a nested descriptor in two ways
+// only: through its own lock word, covered by its own helped flag and the
+// hand-off above; and through the logs of its ancestors, which only
+// helpers read — after setting that ancestor's helped flag. So after the
+// top-level unlock, retire_installed_toplevel pool-reuses the whole chain
+// if the top-level descriptor and every deferred one read helped == false,
+// and epoch-retires all of them otherwise. Every nested descriptor was
+// released (or never installed) before its retire commit, so each
+// helped-read follows that descriptor's own unlock access in S, as the
+// hand-off requires. help() clears owner_run while it runs someone else's
+// descriptor, so that descriptor's nested retires go through the epoch.
+//
+// A killed owner — parked forever inside its top-level acquisition —
+// therefore strands its top-level descriptor and its deferred list, plus
+// the descriptor of each nested acquisition still in progress on its
+// stack (no run of the parent has reached its retire commit yet).
+// Everything else it touched is epoch-retired and pinned only by its
+// announcement.
 #pragma once
 
 #include <atomic>
@@ -257,7 +280,11 @@ inline void help(thread_context* c, lock_word& st, uint64_t cur_packed) {
     // (a dead helper here must not wedge anyone — others revalidate and
     // run the same descriptor).
     FLOCK_FAULTPOINT("lock.help.pre_run");
+    // Not our chain: its nested retires must not join our deferred list.
+    bool owner_run = c->owner_run;
+    c->owner_run = false;
     run_and_unlock<Ccas>(c, st, d);
+    c->owner_run = owner_run;
   }
   g_epoch.restore_ctx(c, prev);
 }
@@ -315,28 +342,74 @@ inline bool help_throttled(thread_context* c, lock_word& st,
 /// nullptr here). Two cases: the descriptor was installed and run, or its
 /// install CAS lost and it was never on the lock. Either way replays of
 /// the enclosing thunk can still reach it through the log, and stale runs
-/// of an installed descriptor may still hold the pointer, so it is always
-/// epoch-retired — the §6 pool-reuse shortcut is a top-level-only
-/// optimization. The retire decision goes through the log (one slot) so
-/// exactly one run of the enclosing thunk performs it.
+/// of an installed descriptor may still hold the pointer. The retire
+/// decision goes through the log (one slot) so exactly one run of the
+/// enclosing thunk performs it. That run defers it to the enclosing
+/// top-level acquisition when it is the owner's run (see header), and
+/// epoch-retires otherwise.
 template <bool Ccas>
 inline void retire_logged(thread_context* c, descriptor* d) {
-  if (commit_raw_ctx<Ccas>(c, 1).second) epoch_retire_ctx(c, d);
+  if (!commit_raw_ctx<Ccas>(c, 1).second) return;
+  if (c->owner_run) {
+    d->deferred_next = c->deferred;
+    c->deferred = d;
+  } else {
+    epoch_retire_ctx(c, d);
+  }
 }
 
 // --- lock-free (helping) mode ---------------------------------------------
 
-/// Top-level retire of a descriptor this thread installed and ran: the §6
-/// reuse optimization without the logged commit (nothing to keep
-/// deterministic outside a thunk).
-template <bool Ccas>
-inline void retire_installed_toplevel(thread_context* c, descriptor* d) {
-  if (!d->helped.load(std::memory_order_seq_cst)) {
+/// Pool-reuse a never-helped descriptor, epoch-retire a helped one.
+inline void retire_judged(thread_context* c, descriptor* d, bool helped) {
+  if (!helped) {
     c->stat_reused++;
     pool_delete_ctx(c, d);
   } else {
     epoch_retire_ctx(c, d);
   }
+}
+
+/// The deferred chain's half of retire_installed_toplevel: one helped
+/// descriptor sends the whole chain through the epoch (see header). Out of
+/// line, so a lock that nests nothing keeps a small inlined retire path.
+[[gnu::noinline]] inline void retire_deferred_chain(thread_context* c,
+                                                    descriptor* d,
+                                                    bool helped) {
+  descriptor* chain = c->deferred;
+  c->deferred = nullptr;
+  for (descriptor* n = chain; n != nullptr && !helped; n = n->deferred_next)
+    helped = n->helped.load(std::memory_order_seq_cst);  // hand-off read
+  while (chain != nullptr) {
+    descriptor* next = chain->deferred_next;
+    retire_judged(c, chain, helped);
+    chain = next;
+  }
+  retire_judged(c, d, helped);
+}
+
+/// Top-level retire of a descriptor this thread installed and ran, and of
+/// the nested descriptors its run deferred: the §6 reuse optimization
+/// without the logged commit (nothing to keep deterministic outside a
+/// thunk).
+inline void retire_installed_toplevel(thread_context* c, descriptor* d) {
+  bool helped = d->helped.load(std::memory_order_seq_cst);
+  if (c->deferred != nullptr)
+    retire_deferred_chain(c, d, helped);
+  else
+    retire_judged(c, d, helped);
+}
+
+/// Run a descriptor this thread just installed at top level, as its owner,
+/// then retire it with its deferred chain.
+template <bool Ccas>
+inline bool run_owned_toplevel(thread_context* c, lock_word& st,
+                               descriptor* d) {
+  c->owner_run = true;
+  bool result = run_and_unlock<Ccas>(c, st, d);
+  c->owner_run = false;
+  retire_installed_toplevel(c, d);
+  return result;
 }
 
 /// Top-level try_lock: no enclosing log, so nothing here must stay
@@ -372,9 +445,7 @@ bool try_lock_helping_toplevel(thread_context* c, lock_word& st, F&& f) {
   // dead-holder scenario (a kill here parks holding the lock; helpers
   // must finish the critical section).
   FLOCK_FAULTPOINT("lock.install.post");
-  bool result = run_and_unlock<Ccas>(c, st, d);
-  retire_installed_toplevel<Ccas>(c, d);
-  return result;
+  return run_owned_toplevel<Ccas>(c, st, d);
 }
 
 template <bool Ccas, class F>
@@ -434,9 +505,7 @@ bool strict_lock_helping(thread_context* c, lock_word& st, F&& f) {
       if (!lv_locked(val_of(cur))) {
         if (st.cas_raw_packed_ctx<false>(c, cur, minev)) {
           FLOCK_FAULTPOINT("lock.install.post");
-          bool result = run_and_unlock<Ccas>(c, st, d);
-          retire_installed_toplevel<Ccas>(c, d);
-          return result;
+          return run_owned_toplevel<Ccas>(c, st, d);
         }
       } else {
         help_throttled<Ccas>(c, st, cur);

@@ -30,7 +30,8 @@
 
 namespace flock {
 
-struct log_block;  // log.hpp
+struct log_block;   // log.hpp
+struct descriptor;  // descriptor.hpp
 
 /// Cursor into the log of the thunk the thread is currently running;
 /// {nullptr, 0} outside of any thunk (then commits pass through).
@@ -71,6 +72,12 @@ struct alignas(2 * kCacheLine) thread_context {
   uint64_t stat_helps_avoided = 0;  // throttled waits resolved without helping
   uint64_t stat_backoff_spins = 0;  // cpu_pause iterations spent backing off
   uint64_t backoff_rng = 0;    // xorshift state (lazily seeded from id)
+  // Deferred nested retires (lock.hpp, retire_logged): set while this
+  // thread runs its own top-level descriptor; the list links nested
+  // descriptors through descriptor::deferred_next until that top-level
+  // acquisition decides reuse or epoch retire for the whole chain.
+  bool owner_run = false;
+  descriptor* deferred = nullptr;
 
   // --- own cache line: state scanned by other threads --------------------
   alignas(kCacheLine) std::atomic<int64_t> announced{-1};  // epoch slot
@@ -197,10 +204,14 @@ inline thread_local thread_context* tl_ctx = nullptr;
       c = &g_ctx[id];
       // Reset transient state a previous holder of this id may have left;
       // monotonic counters and the retire backlog carry over (see header
-      // comment).
+      // comment). A holder that never finished its top-level acquisition
+      // strands its deferred list (see lock.hpp); the new owner starts with
+      // an empty one.
       c->id = id;
       c->log = {};
       c->epoch_depth = 0;
+      c->owner_run = false;
+      c->deferred = nullptr;
       // mo: relaxed (both) — these rewrite the previous holder's already
       // quiescent values with the same quiescent values; the id hand-off
       // itself synchronizes through the allocator mutex.

@@ -1,5 +1,5 @@
 // helping_test_util.hpp — deterministic forced-helping scaffold shared by
-// the stats and hot-path tests.
+// the stats and hot-path tests, for a single lock and for nests.
 //
 // Stochastic contention (N threads hammering one lock) never observes a
 // held lock on small machines. Instead: an owner thread acquires the lock
@@ -59,6 +59,74 @@ inline uint64_t force_one_help(probe_kind kind = probe_kind::try_probe) {
     flock::with_epoch([&] { return flock::try_lock(l, [] { return true; }); });
   }
   owner_may_finish.store(true);
+  owner.join();
+
+  uint64_t final_count = x->read_raw();
+  flock::pool_delete(x);
+  return final_count;
+}
+
+/// One nest of `depth` try_locks on locks[0] (outermost) .. locks[depth-1];
+/// the innermost thunk increments x. The thunk of locks[stall_at] stalls,
+/// on the owner's run only, once everything nested inside it has returned.
+struct nest_plan {
+  flock::lock* locks;
+  int depth;
+  int stall_at;
+  flock::mutable_<uint64_t>* x;
+  std::atomic<bool>* stalled;
+  std::atomic<bool>* may_finish;
+  int owner_tid;
+};
+
+inline bool run_nest(nest_plan p, int level) {
+  return flock::try_lock(p.locks[level], [p, level] {
+    if (level + 1 < p.depth) {
+      run_nest(p, level + 1);
+    } else {
+      p.x->store(p.x->load() + 1);
+    }
+    if (level == p.stall_at) {
+      p.stalled->store(true);
+      while (!p.may_finish->load() && flock::thread_id() == p.owner_tid) {
+      }
+    }
+    return true;
+  });
+}
+
+/// Nested stalled-owner cycle: the owner runs a `depth`-deep nest (at most
+/// 3) and stalls inside the thunk of lock `stall_at`, so locks 0..stall_at
+/// are observably held; the calling thread then try_locks lock `probe_at`
+/// (<= stall_at), which must help the descriptor installed there. With
+/// `probe_nested` the probe's try_lock is itself nested inside a lock of
+/// the probe's own, so the help runs inside the probe's own top-level
+/// acquisition. Returns the final counter: 1 when the innermost section
+/// was applied exactly once.
+inline uint64_t force_nested_help(int depth, int stall_at, int probe_at,
+                                  bool probe_nested = false) {
+  flock::lock locks[3];
+  auto* x = flock::pool_new<flock::mutable_<uint64_t>>();
+  x->init(0);
+
+  std::atomic<bool> stalled{false};
+  std::atomic<bool> may_finish{false};
+  std::thread owner([&] {
+    nest_plan p{locks, depth, stall_at, x, &stalled, &may_finish,
+                flock::thread_id()};
+    flock::with_epoch([&] { return run_nest(p, 0); });
+  });
+  while (!stalled.load()) {
+  }
+  flock::lock* target = &locks[probe_at];
+  auto probe = [target] {
+    return flock::try_lock(*target, [] { return true; });
+  };
+  flock::lock probe_outer;
+  flock::with_epoch([&] {
+    return probe_nested ? flock::try_lock(probe_outer, probe) : probe();
+  });
+  may_finish.store(true);
   owner.join();
 
   uint64_t final_count = x->read_raw();

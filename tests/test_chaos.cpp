@@ -144,6 +144,9 @@ void killed_holder_scenario(bool ccas, bool nested) {
   flock::lock outer, inner;
   auto* x = flock::pool_new<flock::mutable_<uint64_t>>();
   x->init(0);
+  auto& em = flock::epoch_manager::instance();
+  em.flush();
+  const long long pool0 = flock::pool_outstanding<flock::descriptor>();
 
   // Kill the victim at its (nested ? second : first) descriptor install:
   // nested => the victim dies holding BOTH locks mid-nest.
@@ -190,6 +193,15 @@ void killed_holder_scenario(bool ccas, bool nested) {
   EXPECT_GT(flock::stats().helps_run, helps0);
   EXPECT_EQ(x->read_raw(), static_cast<uint64_t>(completed.load()) + 1);
 
+  // The parked owner's leak bound (lock.hpp): beyond the descriptors its
+  // announcement pins in the epoch, it strands its top-level descriptor,
+  // its deferred list (empty: it died before any nested retire) and, mid
+  // nest, the descriptor of its in-progress nested acquisition.
+  em.flush();
+  EXPECT_LE(flock::pool_outstanding<flock::descriptor>() - pool0 -
+                em.pending(),
+            nested ? 2 : 1);
+
   chaos::release_killed();
   victim.join();
   EXPECT_EQ(chaos::parked(), 0u);
@@ -197,6 +209,9 @@ void killed_holder_scenario(bool ccas, bool nested) {
   EXPECT_EQ(x->read_raw(), static_cast<uint64_t>(completed.load()) + 1);
   flock::pool_delete(x);
   chaos::reset();
+  em.flush();
+  EXPECT_EQ(flock::pool_outstanding<flock::descriptor>(), pool0);
+  EXPECT_EQ(em.pending(), 0);
 }
 
 TEST_F(ChaosTest, KilledHolderIsHelpedToCompletionCcasOn) {

@@ -139,6 +139,9 @@ TEST_F(FailureInjection, KilledHolderInNestedLocksIsHelpedThrough) {
   flock::lock outer, inner;
   auto* x = flock::pool_new<flock::mutable_<uint64_t>>();
   x->init(0);
+  auto& em = flock::epoch_manager::instance();
+  em.flush();
+  const long long pool0 = flock::pool_outstanding<flock::descriptor>();
 
   chaos::arm_options o;
   o.victim_only = true;
@@ -191,11 +194,82 @@ TEST_F(FailureInjection, KilledHolderInNestedLocksIsHelpedThrough) {
   // The victim's increment was applied exactly once — by a helper, while
   // the victim was dead.
   EXPECT_EQ(x->read_raw(), static_cast<uint64_t>(inner_wins.load()) + 1);
+  // The parked owner's leak bound (lock.hpp): its top-level descriptor,
+  // its deferred list (empty: it died inside the inner section) and the
+  // in-progress inner descriptor; everything else is in the epoch.
+  em.flush();
+  EXPECT_LE(flock::pool_outstanding<flock::descriptor>() - pool0 -
+                em.pending(),
+            2);
 
   chaos::release_killed();
   holder.join();
   EXPECT_EQ(x->read_raw(), static_cast<uint64_t>(inner_wins.load()) + 1);
   flock::pool_delete(x);
+  em.flush();
+  EXPECT_EQ(flock::pool_outstanding<flock::descriptor>(), pool0);
+  EXPECT_EQ(em.pending(), 0);
+}
+
+TEST_F(FailureInjection, KilledOwnerAfterNestedReleaseStrandsItsDeferredList) {
+  // The victim dies in the outer section after the inner acquisition has
+  // returned, so the inner descriptor already waits on its deferred list.
+  // Helpers finish the outer section (their replay reaches the inner
+  // descriptor through the outer log); the parked owner strands exactly
+  // its top-level descriptor and that deferred one until it resumes, and
+  // then, the outer descriptor having been helped, epoch-retires both.
+  flock::lock outer, inner;
+  auto* x = flock::pool_new<flock::mutable_<uint64_t>>();
+  x->init(0);
+  auto& em = flock::epoch_manager::instance();
+  em.flush();
+  const long long pool0 = flock::pool_outstanding<flock::descriptor>();
+
+  chaos::arm_options o;
+  o.victim_only = true;
+  ASSERT_TRUE(chaos::arm("test.nest.after", chaos::fault::kill, o));
+
+  std::thread holder([&] {
+    chaos::victim_scope vs;
+    flock::with_epoch([&] {
+      return flock::try_lock(outer, [&, x] {
+        bool r = flock::try_lock(inner, [x] {
+          x->store(x->load() + 1);
+          return true;
+        });
+        FLOCK_FAULTPOINT("test.nest.after");
+        return r;
+      });
+    });
+  });
+  spin_until([] { return chaos::parked() == 1; });
+
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 2; t++)
+    workers.emplace_back([&] {
+      for (int i = 0; i < 100; i++)
+        flock::with_epoch(
+            [&] { return flock::try_lock(outer, [] { return true; }); });
+    });
+  for (auto& w : workers) w.join();
+  EXPECT_FALSE(outer.is_locked());
+  EXPECT_EQ(x->read_raw(), 1u);
+
+  em.flush();
+  EXPECT_EQ(flock::pool_outstanding<flock::descriptor>() - pool0 -
+                em.pending(),
+            2);  // top-level + one deferred
+
+  const uint64_t reused0 = flock::stats().descriptors_reused;
+  chaos::release_killed();
+  holder.join();
+  EXPECT_EQ(x->read_raw(), 1u);
+  // The resumed owner reuses neither descriptor of its helped chain.
+  EXPECT_EQ(flock::stats().descriptors_reused, reused0);
+  flock::pool_delete(x);
+  em.flush();
+  EXPECT_EQ(flock::pool_outstanding<flock::descriptor>(), pool0);
+  EXPECT_EQ(em.pending(), 0);
 }
 
 // Kept as the one wall-clock smoke: a holder that stalls for real time

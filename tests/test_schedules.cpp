@@ -175,6 +175,106 @@ TEST_F(ScheduleTest, TrylockHandoffExhaustiveWithKills) {
     ADD_FAILURE() << "first failing schedule: " << stats.failure_schedule;
 }
 
+// --- scenario 1b: nested descriptor reuse hand-off -------------------------
+//
+// The owner runs A{B{x++}}; the prober try_locks B with its own x++ and,
+// whenever it finds B held, helps the owner's B descriptor through B's
+// lock word. The owner defers that descriptor to A's reuse decision, so
+// on every schedule the pair must either both be pool-reused (never
+// helped) or both be epoch-retired. Exact state on every schedule, plus
+// leak accounting: after a flush the descriptor pool is back at its
+// pre-scenario baseline and nothing is left queued for the epoch.
+struct nested_state {
+  struct inner {
+    flock::lock a, b;
+    flock::mutable_<uint64_t> x;
+    bool r[2] = {false, false};
+  };
+  std::unique_ptr<inner> s;
+  long long pool0 = 0;
+  uint64_t helps_run0 = 0;
+};
+
+sched::scenario make_nested_scenario(std::shared_ptr<nested_state> st) {
+  sched::scenario sc;
+  sc.name = "nested_reuse_handoff";
+  sc.setup = [st] {
+    flock::set_blocking(false);
+    flock::set_ccas(true);
+    st->s = std::make_unique<nested_state::inner>();
+    st->s->x.init(0);
+    flock::epoch_manager::instance().flush();
+    st->pool0 = flock::pool_outstanding<flock::descriptor>();
+    st->helps_run0 = flock::stats().helps_run;
+  };
+  sc.threads.push_back([st] {  // owner: A{B{x++}}
+    auto* in = st->s.get();
+    flock::lock* bp = &in->b;
+    flock::mutable_<uint64_t>* xp = &in->x;
+    in->r[0] = flock::with_epoch([&] {
+      return flock::try_lock(in->a, [bp, xp] {
+        return flock::try_lock(*bp, [xp] {
+          xp->store(xp->load() + 1);
+          return true;
+        });
+      });
+    });
+  });
+  sc.threads.push_back([st] {  // prober: B{x++}
+    auto* in = st->s.get();
+    flock::mutable_<uint64_t>* xp = &in->x;
+    in->r[1] = flock::with_epoch([&] {
+      return flock::try_lock(in->b, [xp] {
+        xp->store(xp->load() + 1);
+        return true;
+      });
+    });
+  });
+  sc.on_final = [st](const sched::run_report& rep) {
+    auto* in = st->s.get();
+    uint64_t wins = (in->r[0] ? 1u : 0u) + (in->r[1] ? 1u : 0u);
+    EXPECT_FALSE(in->a.is_locked()) << rep.schedule_string();
+    EXPECT_FALSE(in->b.is_locked()) << rep.schedule_string();
+    // Effects once: one increment per successful B section. Nobody else
+    // takes A, so the owner fails only if the prober held B.
+    EXPECT_EQ(in->x.read_raw(), wins) << rep.schedule_string();
+    EXPECT_GE(wins, 1u) << rep.schedule_string();
+    // A descriptor whose thunk a helper ran is never pool-reused: each
+    // thread runs at most one help, and each sends at least the helped
+    // descriptor through the epoch (the owner's B: the whole A/B chain).
+    auto& em = flock::epoch_manager::instance();
+    const uint64_t helps_run = flock::stats().helps_run - st->helps_run0;
+    EXPECT_GE(em.pending(), static_cast<long long>(helps_run))
+        << rep.schedule_string();
+    em.flush();
+    EXPECT_EQ(flock::pool_outstanding<flock::descriptor>(), st->pool0)
+        << rep.schedule_string();
+    EXPECT_EQ(em.pending(), 0) << rep.schedule_string();
+  };
+  sc.fingerprint = [st] {
+    auto* in = st->s.get();
+    return std::to_string(in->x.read_raw()) + "/" + (in->r[0] ? "t" : "f") +
+           (in->r[1] ? "t" : "f");
+  };
+  return sc;
+}
+
+TEST_F(ScheduleTest, NestedReuseHandoffExhaustiveWithKills) {
+  auto st = std::make_shared<nested_state>();
+  sched::scenario sc = make_nested_scenario(st);
+  sched::explore_options o;
+  o.preemption_bound = 2;
+  o.kill_bound = 1;
+  o.run = trylock_filter();
+  o.failure_check = test_failed;
+  sched::explore_stats stats = sched::explore(sc, o);
+  EXPECT_FALSE(stats.truncated);
+  EXPECT_FALSE(stats.nondeterminism);
+  EXPECT_GE(stats.schedules_at_max_bound, 100u);
+  if (::testing::Test::HasFailure())
+    ADD_FAILURE() << "first failing schedule: " << stats.failure_schedule;
+}
+
 // --- scenario 2/3: grow publication ordering --------------------------------
 //
 // The controller pre-installs a 64->128 grow (the 64th insert's policy
