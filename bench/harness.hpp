@@ -194,32 +194,16 @@ class json_reporter {
     for (std::size_t i = 0; i < series_.size(); i++)
       std::fprintf(f, "    \"%s\": %.3f%s\n", series_[i].first.c_str(),
                    series_[i].second, i + 1 < series_.size() ? "," : "");
-    flock::stats_snapshot s = flock::stats();
-    std::fprintf(f,
-                 "  },\n  \"stats\": {\n"
-                 "    \"descriptors_created\": %llu,\n"
-                 "    \"helps_attempted\": %llu,\n"
-                 "    \"helps_run\": %llu,\n"
-                 "    \"descriptors_reused\": %llu,\n"
-                 "    \"helps_avoided\": %llu,\n"
-                 "    \"backoff_spins\": %llu,\n"
-                 "    \"alloc_failures\": %llu,\n"
-                 "    \"resize_deferrals\": %llu,\n"
-                 "    \"chaos_stalls\": %llu,\n"
-                 "    \"chaos_kills\": %llu,\n"
-                 "    \"chaos_alloc_fails\": %llu\n"
-                 "  }\n}\n",
-                 static_cast<unsigned long long>(s.descriptors_created),
-                 static_cast<unsigned long long>(s.helps_attempted),
-                 static_cast<unsigned long long>(s.helps_run),
-                 static_cast<unsigned long long>(s.descriptors_reused),
-                 static_cast<unsigned long long>(s.helps_avoided),
-                 static_cast<unsigned long long>(s.backoff_spins),
-                 static_cast<unsigned long long>(s.alloc_failures),
-                 static_cast<unsigned long long>(s.resize_deferrals),
-                 static_cast<unsigned long long>(s.chaos_stalls),
-                 static_cast<unsigned long long>(s.chaos_kills),
-                 static_cast<unsigned long long>(s.chaos_alloc_fails));
+    std::fprintf(f, "  },\n  \"stats\": {");
+    const flock::stats_snapshot s = flock::stats();
+    const char* sep = "\n";
+#define FLOCK_DUMP_COUNTER(name)                        \
+  std::fprintf(f, "%s    \"" #name "\": %llu", sep,   \
+               static_cast<unsigned long long>(s.name)); \
+  sep = ",\n";
+    FLOCK_STATS_COUNTERS(FLOCK_DUMP_COUNTER)
+#undef FLOCK_DUMP_COUNTER
+    std::fprintf(f, "\n  }\n}\n");
     std::fclose(f);
     std::fprintf(stderr, "wrote %s\n", path);
   }

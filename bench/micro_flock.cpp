@@ -10,12 +10,10 @@
 //    insert commits about 5 entries to the log").
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <memory>
-#include <vector>
 
 #include "ds/dlist.hpp"
 #include "ds/hashtable.hpp"
@@ -403,169 +401,6 @@ void emit_json_series() {
             mp.mops > 0 ? steady_mops[0] / mp.mops : 0.0);
     rep.add("churn_s8_shrunk_over_presized",
             mp.mops > 0 ? steady_mops[1] / mp.mops : 0.0);
-    flock::epoch_manager::instance().flush();
-  }
-  {
-    // Read-mostly scenario (pr9_read_path): zipf(0.99) read-dominated
-    // mixes over a warmed store, the optimistic validated read path
-    // (seqlock snapshot + read_guard announce amortization + per-thread
-    // memo cache) A/B'd IN-BINARY against the pre-optimistic logged walk
-    // (find_baseline). Methodology, earned the hard way on a drifting
-    // shared box:
-    //
-    //  * One store, alternating turns: both read paths serve the SAME
-    //    warmed store — the deterministic 95/5 (or 99/1) op stream runs
-    //    in order, chunk by chunk, with the sides taking alternate
-    //    chunks (baseline reads on even chunks, optimistic on odd); a
-    //    real serving store's hot lines are warm, and a split-store
-    //    design (tried first) doubles the random-access footprint and
-    //    measures cold-line physics instead of read-path cost, while a
-    //    read-everything-twice design (also tried) hands each side the
-    //    other's line warming and erases the misses the memo cache
-    //    exists to skip. No position is executed twice.
-    //  * Tight interleaving + medians: the sides alternate every chunk
-    //    and each reports its MEDIAN per-chunk rate, so slow machine
-    //    drift hits both sides equally and a background burst costs one
-    //    chunk, not one side. Each baseline/optimistic pair is
-    //    same-process, same-second by construction — never compare the
-    //    absolute Mops across scenarios or runs, only the within-duel
-    //    ratio.
-    //  * Read-path timing: updates are ~10x a read's cost, so at 5%
-    //    frequency they are ~40% of wall time and whole-mix timing would
-    //    mostly measure the write path this PR does not touch; the
-    //    headline metric is read-path Mops at the stated mix ratio
-    //    (every update in the stream runs, block-interleaved with the
-    //    reads it invalidates), with the whole-duel rate emitted
-    //    alongside (readm_*_mix_mops) for transparency.
-    flock::set_blocking(false);
-    const uint64_t range =
-        static_cast<uint64_t>(bench::env_long("FLOCK_READM_KEYS", 16384));
-    const int threads =
-        static_cast<int>(bench::env_long("FLOCK_READM_THREADS", 1));
-    const long chunk = bench::env_long("FLOCK_READM_CHUNK", 200000);
-    const int rounds =
-        static_cast<int>(bench::env_long("FLOCK_READM_ROUNDS", 9));
-
-    using store_t = flock_store::sharded_map<uint64_t, uint64_t, false>;
-    store_t store(8, range);
-    flock_workload::prefill_half(store, range, threads);
-
-    // Deterministic streams: zipf(0.99) keys over [0, range) — half of
-    // which are absent (prefill_half), exercising the negative-result
-    // memoization — and a per-position op draw.
-    const std::size_t kStream = std::size_t{1} << 20;
-    std::vector<uint64_t> keys(kStream);
-    std::vector<uint16_t> opv(kStream);
-    flock_workload::zipf_distribution dist(range, 0.99);
-    flock_workload::rng64 krng(42), orng(7);
-    for (auto& k : keys) k = dist.sample(krng);
-    for (auto& u : opv) u = static_cast<uint16_t>(orng.next() % 1000);
-
-    struct chunk_rate {
-      double read_mops = 0;
-      double mix_mops = 0;
-    };
-    uint64_t sink = 0;
-    // One chunk of the stream on the shared store: per 1K-op block the
-    // block's updates run first (untimed), then its reads are timed in
-    // one batch through this side's routing. Invalidation pressure is
-    // real — every update runs, block-interleaved with the reads.
-    auto run_chunk = [&](long start, int upd_permille, bool fast) {
-      const long kBlock = 1024;
-      long reads = 0;
-      double read_sec = 0;
-      auto c0 = std::chrono::steady_clock::now();
-      for (long done = 0; done < chunk; done += kBlock) {
-        const long lo = start + done;
-        const long hi = lo + std::min(kBlock, chunk - done);
-        for (long i = lo; i < hi; i++) {
-          const std::size_t j = static_cast<std::size_t>(i) & (kStream - 1);
-          if (opv[j] < upd_permille) {
-            const uint64_t k = keys[j];
-            if (opv[j] & 1)
-              store.insert(k, k + 1);
-            else
-              store.remove(k);
-          }
-        }
-        auto t0 = std::chrono::steady_clock::now();
-        if (fast) {
-          for (long i = lo; i < hi; i++) {
-            const std::size_t j = static_cast<std::size_t>(i) & (kStream - 1);
-            if (opv[j] >= upd_permille) {
-              sink += store.find(keys[j]).has_value();
-              reads++;
-            }
-          }
-        } else {
-          for (long i = lo; i < hi; i++) {
-            const std::size_t j = static_cast<std::size_t>(i) & (kStream - 1);
-            if (opv[j] >= upd_permille) {
-              sink += store.find_baseline(keys[j]).has_value();
-              reads++;
-            }
-          }
-        }
-        auto t1 = std::chrono::steady_clock::now();
-        read_sec += std::chrono::duration<double>(t1 - t0).count();
-      }
-      auto c1 = std::chrono::steady_clock::now();
-      chunk_rate r;
-      r.read_mops = read_sec > 0 ? reads / read_sec / 1e6 : 0.0;
-      r.mix_mops =
-          chunk / std::chrono::duration<double>(c1 - c0).count() / 1e6;
-      return r;
-    };
-    auto median = [](std::vector<double> v) {
-      std::sort(v.begin(), v.end());
-      return v.empty() ? 0.0 : v[v.size() / 2];
-    };
-
-    const auto& cs =
-        flock_store::tls_read_cache<uint64_t, uint64_t>().counters();
-    long pos = 0;  // stream cursor: every chunk consumes fresh positions
-    // Three mix points: 95/5 and 99/1 read/update, plus a pure-read
-    // phase (100/0) over the store the mixed phases left behind — the
-    // read-batch serving pattern the memo cache is designed for, where
-    // no writer invalidates and the hit rate runs at its capacity
-    // ceiling instead of the churn equilibrium.
-    for (int upd_permille : {50, 10, 0}) {
-      const std::string p = upd_permille == 50   ? "readm_95_5_"
-                            : upd_permille == 10 ? "readm_99_1_"
-                                                 : "readm_100_0_";
-      // Warm store lines and the memo cache at this mix. The cache
-      // converges slowly BY DESIGN (sampled admission lets only one miss
-      // in kFillPeriod contend for a slot), so the timed chunks must see
-      // the steady-state hit rate, not the ramp.
-      for (int w = 0; w < 3; w++) {
-        run_chunk(pos, upd_permille, false);
-        pos += chunk;
-        run_chunk(pos, upd_permille, true);
-        pos += chunk;
-      }
-      const uint64_t h0 = cs.hits, m0 = cs.misses + cs.invalidated;
-      std::vector<double> ra, rb, mm;
-      for (int r = 0; r < rounds; r++) {
-        auto a = run_chunk(pos, upd_permille, false);
-        pos += chunk;
-        auto b = run_chunk(pos, upd_permille, true);
-        pos += chunk;
-        ra.push_back(a.read_mops);
-        rb.push_back(b.read_mops);
-        mm.push_back(a.mix_mops);
-        mm.push_back(b.mix_mops);
-      }
-      const double bm = median(ra), om = median(rb);
-      rep.add(p + "baseline_mops", bm);
-      rep.add(p + "optimistic_mops", om);
-      rep.add(p + "speedup", bm > 0 ? om / bm : 0.0);
-      rep.add(p + "mix_mops", median(mm));
-      const uint64_t dh = cs.hits - h0, dm = cs.misses + cs.invalidated - m0;
-      rep.add(p + "hit_rate",
-              dh + dm > 0 ? static_cast<double>(dh) / (dh + dm) : 0.0);
-    }
-    rep.add("readm_invariants_ok",
-            store.check_invariants() && sink > 0 ? 1.0 : 0.0);
     flock::epoch_manager::instance().flush();
   }
   rep.write();

@@ -84,22 +84,6 @@ inline uint64_t splitmix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// Process-wide count of bucket-array retirements (any table of any map),
-/// bumped in retire_table BEFORE the array enters the epoch reclaimer.
-/// This is the pointer-safety authority for memoized reads
-/// (store/read_cache.hpp): a live table's bucket array can only ever be
-/// freed through retire_table (the destructor frees arrays too, but a
-/// destroyed map's entries are unreachable — owner ids are never reused),
-/// so a reader that (1) arms its epoch announcement, (2) loads this era,
-/// and then (3) observes the era unchanged at validation time knows the
-/// array behind a memoized version pointer was never even SCHEDULED for
-/// reclamation — it is alive, no matter how many epochs passed or how the
-/// thread's announcement moved in between. A retirement concurrent with
-/// step (3) cannot bite either: it happens at an epoch no older than the
-/// reader's armed announcement, so the free stays blocked while the
-/// reader is pinned.
-inline constinit std::atomic<uint64_t> g_table_retire_era{0};
-
 template <class K, class V, bool Strict>
 class hashtable;
 
@@ -119,13 +103,12 @@ class hashtable {
   // behavior whose possibly-torn result the version validation discards —
   // not UB, and TSan sees no mixed access. That needs lock-free
   // atomic_ref coverage of the payload, plus TRIVIAL default
-  // constructibility, which buys two things: the fast path (and the memo
-  // cache's entry) materializes an empty snapshot slot before the walk
-  // decides whether to keep it, and the constructor's default-init of k/v
-  // is guaranteed to touch no memory, so the atomic stores are the ONLY
-  // payload writes a racing reader can meet. Anything else takes the
-  // logged walk unconditionally, exactly as every K/V did before the fast
-  // path existed.
+  // constructibility, which buys two things: the fast path materializes
+  // an empty snapshot slot before the walk decides whether to keep it,
+  // and the constructor's default-init of k/v is guaranteed to touch no
+  // memory, so the atomic stores are the ONLY payload writes a racing
+  // reader can meet. Anything else takes the logged walk unconditionally,
+  // exactly as every K/V did before the fast path existed.
   template <class T>
   static constexpr bool seqlock_copyable() {
     if constexpr (std::is_trivially_copyable_v<T> && !std::is_const_v<T> &&
@@ -198,10 +181,8 @@ class hashtable {
     // every writer that ever entered has exited — quiescence survives any
     // interleaving of brackets. A reader that captures v1 = ver_exit,
     // sees ver_enter == v1, walks unlogged, and re-reads ver_enter == v1
-    // holds a consistent snapshot; a single later reload of ver_enter
-    // validating against the captured v1 proves the chain unchanged since
-    // (read_probe / store/read_cache.hpp). 64-bit monotone: never wraps,
-    // so validation is ABA-free.
+    // holds a consistent snapshot. 64-bit monotone: never wraps, so
+    // validation is ABA-free.
     std::atomic<uint64_t> ver_enter{0};
     std::atomic<uint64_t> ver_exit{0};
   };
@@ -279,20 +260,6 @@ class hashtable {
     s->ver_exit.fetch_add(1, std::memory_order_release);
   }
 
- public:
-  /// Validation handle filled by a successful fast-path find: the bucket's
-  /// writer-ENTRY counter the snapshot was validated against and the
-  /// (balanced, == ver_exit at capture) value it held. While the counter
-  /// still holds `snapshot`, no writer has entered the bucket since the
-  /// validated walk, so the returned value is still current; the caller
-  /// must separately prove the bucket array itself is still allocated
-  /// before dereferencing (see g_table_retire_era above — the memo
-  /// cache's era stamp carries that proof).
-  struct read_probe {
-    const std::atomic<uint64_t>* version = nullptr;
-    uint64_t snapshot = 0;
-  };
-
  private:
   /// Relaxed atomic copy of a possibly-racing node field (see the gate
   /// comment above); the seqlock validation decides whether to keep it.
@@ -344,49 +311,29 @@ class hashtable {
     }
   }
 
-  std::optional<V> find(K k) {
-    read_probe probe;
-    return find(k, probe);
-  }
+  std::optional<V> find(K k) { return find(k, hash_of(k)); }
 
-  /// find with a validation handle: on a fast-path hit/miss, `probe` names
-  /// the bucket version word and snapshot the result was validated against
-  /// (the store tier's memo cache feeds on it). Fallback paths leave the
-  /// probe empty.
-  std::optional<V> find(K k, read_probe& probe) {
-    return find(k, probe, hash_of(k));
-  }
-
-  /// find with the key's hash precomputed. The store tier hashes once and
-  /// derives shard, memo-cache slot, AND bucket index from the same word
-  /// (disjoint bit ranges) — recomputing splitmix64 at every tier was a
-  /// measurable slice of the read path.
-  std::optional<V> find(K k, read_probe& probe, uint64_t h) {
-    if constexpr (kSeqlockReads) {
-      // The fast path walks raw pointers, so it needs epoch protection —
-      // bucket arrays of drained tables are truly freed (array_delete) on
-      // retire, unlike pool nodes. read_guard amortizes the announce over
-      // a batch of reads; the fallback's with_epoch nests under it for
-      // free.
-      flock::read_guard g;
-      V out{};
-      switch (find_fast(k, out, probe, h)) {
-        case kFastHit:
-          return out;
-        case kFastMiss:
-          return std::nullopt;
-        default:
-          break;  // contended / mid-migration / unbounded chain
+  /// find with the key's hash precomputed (the store tier hashes once and
+  /// derives shard and bucket index from the same word). One epoch region
+  /// covers both walks: the fast path follows raw pointers into bucket
+  /// arrays that a finished resize truly frees (array_delete on retire),
+  /// and whatever it cannot certify goes to the logged walk.
+  std::optional<V> find(K k, uint64_t h) {
+    return flock::with_epoch([&]() -> std::optional<V> {
+      if constexpr (kSeqlockReads) {
+        V out{};
+        switch (find_fast(k, out, h)) {
+          case kFastHit:
+            return out;
+          case kFastMiss:
+            return std::nullopt;
+          default:
+            break;  // contended / mid-migration / unbounded chain
+        }
       }
-    }
-    return find_slow(k, h);
+      return find_slow(k, h);
+    });
   }
-
-  /// The pre-optimistic read path, kept publicly callable so benchmarks
-  /// can A/B the same lookups in one binary (bench/micro_flock.cpp
-  /// pr9_read_path): exactly the logged, epoch-guarded walk `find` always
-  /// used before the seqlock fast path existed.
-  std::optional<V> find_baseline(K k) { return find_slow(k); }
 
  private:
   // Fast-path outcomes: hit and miss are VALIDATED results; fallback means
@@ -403,8 +350,8 @@ class hashtable {
   /// Seqlock snapshot read (only instantiated when kSeqlockReads): load
   /// ver_exit → check ver_enter balanced → raw walk → fence → re-load
   /// ver_enter. No logging, no lock traffic, no epoch announce of its own
-  /// (caller holds a read_guard).
-  int find_fast(K k, V& out, read_probe& probe, uint64_t h) {
+  /// (caller is inside with_epoch).
+  int find_fast(K k, V& out, uint64_t h) {
     const table* t = root_.read_raw();
     bucket* s = &t->buckets[static_cast<std::size_t>(h) & t->mask];
     // mo: acquire — seqlock v1: pairs with ver_end's release bumps (RMW
@@ -460,8 +407,6 @@ class hashtable {
     // mo: relaxed — ordered entirely by the fence above.
     if (s->ver_enter.load(std::memory_order_relaxed) != v1)
       return kFastFallback;
-    probe.version = &s->ver_enter;
-    probe.snapshot = v1;
     return hit ? kFastHit : kFastMiss;
   }
 
@@ -474,32 +419,28 @@ class hashtable {
         flock::val_of(p->next.read_raw_packed_relaxed()));
   }
 
-  /// The pre-existing epoch-guarded logged walk; the authority the fast
-  /// path defers to whenever it cannot certify a snapshot.
-  std::optional<V> find_slow(K k) { return find_slow(k, hash_of(k)); }
-
+  /// The logged walk; the authority the fast path defers to whenever it
+  /// cannot certify a snapshot. Caller must be inside with_epoch.
   std::optional<V> find_slow(K k, uint64_t h) {
-    return flock::with_epoch([&]() -> std::optional<V> {
-      const table* t = root_.load();
-      while (true) {
-        const bucket* s = &t->buckets[static_cast<std::size_t>(h) & t->mask];
-        if (!s->removed.load()) {
-          // Not forwarded when we looked. If a migration completes under
-          // the scan the chain is left frozen (migration copies, never
-          // splices), so whatever this scan observes is the bucket's
-          // authoritative pre-forward state and both hit and miss
-          // linearize within our interval; no re-check is needed. The
-          // flag is published only after the successor chains, so a set
-          // flag below always finds `next` installed.
-          node* cur = s->next.load();
-          while (cur != nullptr && cur->k < k) cur = cur->next.load();
-          if (cur != nullptr && cur->k == k && !cur->removed.load())
-            return cur->v;
-          return std::nullopt;
-        }
-        t = t->next.read_raw();  // forwarded => successor exists
+    const table* t = root_.load();
+    while (true) {
+      const bucket* s = &t->buckets[static_cast<std::size_t>(h) & t->mask];
+      if (!s->removed.load()) {
+        // Not forwarded when we looked. If a migration completes under
+        // the scan the chain is left frozen (migration copies, never
+        // splices), so whatever this scan observes is the bucket's
+        // authoritative pre-forward state and both hit and miss
+        // linearize within our interval; no re-check is needed. The
+        // flag is published only after the successor chains, so a set
+        // flag below always finds `next` installed.
+        node* cur = s->next.load();
+        while (cur != nullptr && cur->k < k) cur = cur->next.load();
+        if (cur != nullptr && cur->k == k && !cur->removed.load())
+          return cur->v;
+        return std::nullopt;
       }
-    });
+      t = t->next.read_raw();  // forwarded => successor exists
+    }
   }
 
  public:
@@ -712,8 +653,8 @@ class hashtable {
 
  public:
   /// The key hash every tier derives from (bucket index = low bits; the
-  /// store tier's shard routing = top bits, memo-cache slot = middle
-  /// bits). Public so callers can hash once per operation.
+  /// store tier's shard routing = top bits). Public so callers can hash
+  /// once per operation.
   static uint64_t hash_of(K k) {
     return splitmix64(static_cast<uint64_t>(k));
   }
@@ -767,9 +708,6 @@ class hashtable {
   }
 
   static void retire_table(table* t) {
-    // mo: seq_cst — the era bump must be ordered before the retire it
-    // announces (see g_table_retire_era); cold path, one resize per table.
-    g_table_retire_era.fetch_add(1, std::memory_order_seq_cst);
     flock::epoch_retire_array(t->buckets);
     flock::epoch_retire(t);
   }
@@ -852,10 +790,10 @@ class hashtable {
     const uint64_t bit = t->nbuckets();  // hash bit the split keys on
     // Seqlock bracket on the SOURCE bucket: the unit retires its nodes and
     // sets its forwarded flag, either of which must invalidate snapshots
-    // and memoized reads of s. The successor buckets need no bracket here:
-    // they are unreachable by the optimistic path until the root swings,
-    // which happens-after every unit completed (migrated-counter acq_rel
-    // chain), and direct updates to them bracket normally.
+    // of s. The successor buckets need no bracket here: they are
+    // unreachable by the optimistic path until the root swings, which
+    // happens-after every unit completed (migrated-counter acq_rel chain),
+    // and direct updates to them bracket normally.
     ver_begin(s);
     bool did = acquire(s->lck, [=] {
       if (s->removed.load()) return false;  // lost the race

@@ -52,57 +52,24 @@ class epoch_manager {
   static epoch_manager& instance() noexcept;
 
   /// Run `f` inside an epoch-protected region. Nesting is allowed; only the
-  /// outermost level announces.
-  ///
-  /// Outermost entry also takes ownership of the read_sticky state machine
-  /// (see thread_context.hpp): state 2 ("owner in region") bars the
-  /// collector's sticky-lapse from touching the announcement while this
-  /// region depends on it — the collector may otherwise wipe a sticky slot
-  /// whose announcement trails the global epoch, and an in-region
-  /// announcement legally trails by one (try_advance can move the counter
-  /// once past any announcement).
+  /// outermost level announces, and it quiesces (-1) on exit. Every
+  /// operation, lock or lookup, pays one validated announce (announce())
+  /// and one release store per outermost entry.
   template <class F>
   auto with_epoch(F&& f) -> decltype(f()) {
     detail::thread_context* c = detail::my_ctx();
-    uint8_t sticky_prev = 0;
-    if (c->epoch_depth++ == 0) {
-      // mo: seq_cst — claim-fence ordering with lapse_idle_sticky(): if a
-      // collector's claim (CAS 1->0) precedes this exchange, seq_cst
-      // ordering on the global counter makes announce() below re-read a
-      // global value at least as new as the one that justified the claim,
-      // so the fresh announcement lands ABOVE the collector's sampled
-      // epoch and its pending announced-wipe CAS misses. If the claim
-      // follows, it sees state 2 and skips this thread entirely.
-      sticky_prev = c->read_sticky.exchange(2, std::memory_order_seq_cst);
-      announce(c);
-    }
+    if (c->epoch_depth++ == 0) announce(c);
     struct guard {
       detail::thread_context* c;
-      uint8_t sticky_prev;
       ~guard() {
         if (--c->epoch_depth == 0) {
-          if (sticky_prev != 0) {
-            // The thread is in a read batch (read_guard armed the sticky
-            // flag): keep the announcement across interleaved writes —
-            // quiescing here would force the next read in the batch to
-            // pay the full validated announce. Re-arm as claimable state
-            // 1; an idle tail is bounded by the collector's sticky-lapse
-            // (lapse_idle_sticky), not by this thread's cooperation.
-            // mo: release — the collector's claim CAS acquire-reads this
-            // 1, ordering the region's protected accesses before any
-            // free its lapse later justifies.
-            c->read_sticky.store(1, std::memory_order_release);
-          } else {
-            // mo: relaxed — own flag; 0 is never claimed, only observed.
-            c->read_sticky.store(0, std::memory_order_relaxed);
-            // mo: release — quiescing: every access this thread made to
-            // epoch-protected objects happens-before a collector's acquire
-            // read of -1 (min_announced), so nothing can be freed under us.
-            c->announced.store(-1, std::memory_order_release);
-          }
+          // mo: release — quiescing: every access this thread made to
+          // epoch-protected objects happens-before a collector's acquire
+          // read of -1 (min_announced), so nothing can be freed under us.
+          c->announced.store(-1, std::memory_order_release);
         }
       }
-    } g{c, sticky_prev};
+    } g{c};
     return f();
   }
 
@@ -172,37 +139,10 @@ class epoch_manager {
   /// batches, including batches stranded by exited threads. Requires
   /// quiescence (no concurrent operations in flight) to fully drain; safe
   /// to call concurrently only with other flush() calls being absent.
+  /// An idle thread pins nothing here: every epoch region retracts its
+  /// announcement on exit.
   void flush() {
     const int bound = thread_id_bound();
-    // Release sticky read announcements first (read_guard below): a thread
-    // whose last operation was a batched read still pins the epoch it
-    // announced, which would hold min_announced down and leave batches
-    // undrainable. Claim armed-idle slots only (CAS 1 -> 0): a slot in
-    // state 2 belongs to a thread inside an epoch region, whose
-    // announcement is load-bearing — flush() nominally runs at
-    // quiescence, but being claim-based keeps it harmless against a
-    // straggler region instead of freeing memory out from under it. The
-    // owners' memoized reads self-invalidate on their next validation
-    // (the bucket entry counter / retirement era checks, not this slot).
-    for (int i = 0; i < bound; i++) {
-      detail::thread_context* c = &detail::g_ctx[i];
-      // mo: acquire — pre-claim sample, same shape as lapse_idle_sticky.
-      const int64_t e = c->announced.load(std::memory_order_acquire);
-      uint8_t claim = 1;
-      // mo: seq_cst — same claim as lapse_idle_sticky (see there); an
-      // owner re-entry racing this claim re-announces above any epoch
-      // this flush's drains can free.
-      if (!c->read_sticky.compare_exchange_strong(claim, 0,
-                                                  std::memory_order_seq_cst))
-        continue;
-      if (e >= 0) {
-        int64_t expect = e;
-        // mo: seq_cst — retraction, CAS not store: if the owner slipped a
-        // region in since the sample, its fresh announcement stays.
-        c->announced.compare_exchange_strong(expect, -1,
-                                             std::memory_order_seq_cst);
-      }
-    }
     for (int i = 0; i < 3; i++) try_advance();
     for (int i = 0; i < bound; i++) {
       detail::thread_context* c = &detail::g_ctx[i];
@@ -213,8 +153,6 @@ class epoch_manager {
   }
 
  private:
-  friend class read_guard;
-
   /// Outermost announcement, with validation: re-announce until the
   /// global counter stops moving under us, so a collector that advanced
   /// the epoch concurrently cannot have missed this announcement while we
@@ -229,64 +167,6 @@ class epoch_manager {
     while ((g = global_.load(std::memory_order_seq_cst)) != e) {
       e = g;
       c->announced.store(e, std::memory_order_seq_cst);
-    }
-  }
-
-  /// Sticky-lapse: unpin idle readers' announcements (the collector half
-  /// of the read_sticky state machine, thread_context.hpp). A sticky slot
-  /// (state 1) whose announcement trails the global counter belongs to a
-  /// thread that finished a read batch and has not come back — its pinned
-  /// epoch is the one thing that can hold reclamation down indefinitely
-  /// (an ACTIVE reader refreshes its announcement every batch). Claim the
-  /// flag (1 -> 0) so the owner cannot be mid-region, then retract the
-  /// announcement. The owner's re-entry exchange (state 2) and the claim
-  /// CAS serialize on the flag, and seq_cst ordering on the global counter
-  /// guarantees a racing re-entry re-announces ABOVE our sampled epoch, so
-  /// the retraction CAS below can never wipe a live announcement.
-  /// Called from seal_and_reclaim's backlog-persists path: one O(threads)
-  /// pass, same cost class as the announcement scan it precedes.
-  void lapse_idle_sticky() {
-    // mo: seq_cst — the claim-fence pivot: a later owner re-entry whose
-    // exchange follows our claim must re-read a global at least this new
-    // (see with_epoch), which is what makes e < g prove idleness.
-    const int64_t g = global_.load(std::memory_order_seq_cst);
-    const int bound = thread_id_bound();
-    for (int i = 0; i < bound; i++) {
-      detail::thread_context* c = &detail::g_ctx[i];
-      // mo: acquire — pairs with the owner's seq_cst announce store; the
-      // sample is only ever compared/CASed, staleness self-corrects.
-      const int64_t e = c->announced.load(std::memory_order_acquire);
-      // e == g means the reader is current: it pins nothing that an
-      // epoch advance (which this caller attempts next) cannot step
-      // past, so leave its batch amortization alone. Only e < g — the
-      // announcement is the straggler holding min_announced down — is
-      // worth retracting. (e > g is impossible: announcements validate
-      // against the counter, and the counter never advances past the
-      // minimum announcement.)
-      if (e < 0 || e >= g) continue;
-      uint8_t claim = 1;
-      // mo: seq_cst — claim: acquire-reads the owner's release store(1)
-      // (guard exit), ordering the owner's protected accesses before any
-      // free this lapse justifies; seq_cst for the claim-fence argument
-      // above. Failure = owner in region (2), already lapsed (0), or a
-      // racing collector won — all mean "hands off".
-      if (!c->read_sticky.compare_exchange_strong(
-              claim, 0, std::memory_order_seq_cst))
-        continue;
-      int64_t expect = e;
-      // mo: seq_cst — the retraction a min_announced scan may now miss
-      // this slot on; seq_cst keeps it ordered after the claim for every
-      // observer. Failure means the owner re-announced between our sample
-      // and the claim — the slot is live again, so hand the flag back.
-      if (!c->announced.compare_exchange_strong(expect, -1,
-                                                std::memory_order_seq_cst)) {
-        uint8_t zero = 0;
-        // mo: seq_cst — undo of the claim. CAS, not a store: the owner
-        // may already have re-entered (0 -> 2) and now owns the flag; a
-        // blind store(1) would corrupt an in-region state.
-        c->read_sticky.compare_exchange_strong(zero, 1,
-                                               std::memory_order_seq_cst);
-      }
     }
   }
 
@@ -337,10 +217,7 @@ class epoch_manager {
     // reads, which this drain's frees rely on.
     drain_sealed(c, min_bound_.load(std::memory_order_acquire));
     if (c->sealed_head != nullptr) {
-      // Backlog persists: unpin idle sticky readers first (a lapsed
-      // announcement is the one blocker an epoch advance cannot step
-      // past), then pay for one scan + advance and refresh the cache.
-      lapse_idle_sticky();
+      // Backlog persists: pay for one scan + advance and refresh the cache.
       try_advance();
       drain_sealed(c, refresh_bound());
     }
@@ -423,87 +300,6 @@ inline constinit epoch_manager g_epoch{};
 inline epoch_manager& epoch_manager::instance() noexcept {
   return detail::g_epoch;
 }
-
-/// Lightweight epoch guard for read batches. ---------------------------------
-///
-/// with_epoch pays one seq_cst announce (store + validating re-read) per
-/// outermost entry and quiesces (-1) on exit. For a read-dominated caller
-/// issuing back-to-back finds, that announce is most of the cost of a hit.
-/// read_guard amortizes it:
-///
-///  * Nested under an active epoch region (epoch_depth > 0) it is free —
-///    the existing announcement already protects us.
-///  * At top level it checks whether the slot is still announced at the
-///    CURRENT global epoch (one relaxed load + one acquire load). If so,
-///    the announcement never lapsed since the previous read — no scanner
-///    can have missed it — and re-announcing is unnecessary. Only when the
-///    slot is empty (-1) or the global epoch moved does it pay the full
-///    validated announce.
-///  * On destruction it leaves the announcement in place ("sticky",
-///    state 1 in the thread context's read_sticky machine) instead of
-///    quiescing, so the next read in the batch takes the cheap path. Any
-///    later with_epoch simply refreshes the slot; thread exit and
-///    epoch_manager::flush() clear it.
-///
-/// Bounded staleness (collector-enforced): a thread that goes idle right
-/// after a read batch keeps its last epoch announced — but only until a
-/// reclaiming thread with a persistent backlog runs lapse_idle_sticky(),
-/// which claims the sticky flag (so the owner provably is not mid-region)
-/// and retracts the announcement. An ACTIVE reader is never lapsed: each
-/// new batch refreshes its announcement to the current epoch, and the
-/// collector only claims slots trailing the global counter. So sticky
-/// announcements delay reclamation by at most one collection cycle once
-/// the owner idles; they cannot pin memory for the life of the process.
-///
-/// Consumers that cache epoch-protected pointers across guards (the
-/// store-tier memoized-read cache) do NOT validate against this slot:
-/// they carry their own proof of liveness (bucket entry counters plus the
-/// bucket-array retirement era — store/read_cache.hpp), which is immune
-/// to the announcement being refreshed or lapsed in between.
-class read_guard {
- public:
-  read_guard() : c_(detail::my_ctx()) {
-    if (c_->epoch_depth++ == 0) {
-      // mo: seq_cst — enter state 2 (owner in region) BEFORE deciding
-      // whether to reuse the announcement: a collector claim that lands
-      // before this exchange leaves prev != 1 and we re-announce (with
-      // announce()'s seq_cst global read ordered after the claim, so the
-      // new announcement lands above the collector's sampled epoch and
-      // its pending retraction misses); a claim after it sees 2 and
-      // skips. See lapse_idle_sticky.
-      const uint8_t prev = c_->read_sticky.exchange(2, std::memory_order_seq_cst);
-      // mo: relaxed — own announcement slot; only the value is compared,
-      // the protocol-bearing store (if any) happens in announce().
-      int64_t a = c_->announced.load(std::memory_order_relaxed);
-      // mo: acquire — see current_epoch(); also keeps the comparison no
-      // staler than advances this thread already observed.
-      int64_t g = detail::g_epoch.global_.load(std::memory_order_acquire);
-      // Reuse is only legal from state 1: an unclaimed sticky announcement
-      // still at the current epoch was visible to every scan since it was
-      // made. From state 0 the slot may have been retracted (collector
-      // lapse, with_epoch quiesce) — pay the validated announce.
-      if (prev != 1 || a != g) detail::g_epoch.announce(c_);
-    }
-  }
-
-  read_guard(const read_guard&) = delete;
-  read_guard& operator=(const read_guard&) = delete;
-
-  ~read_guard() {
-    // Sticky exit: keep the announcement armed for the next read in the
-    // batch, and return the flag to claimable state 1. with_epoch's own
-    // guard still quiesces normally when used.
-    if (--c_->epoch_depth == 0) {
-      // mo: release — the collector's claim CAS acquire-reads this 1,
-      // ordering this batch's protected loads before any free a later
-      // lapse of the announcement justifies.
-      c_->read_sticky.store(1, std::memory_order_release);
-    }
-  }
-
- private:
-  detail::thread_context* c_;
-};
 
 /// Convenience wrappers used throughout the library. ------------------------
 

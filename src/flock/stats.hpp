@@ -25,20 +25,29 @@ inline std::atomic<uint64_t> g_resize_deferrals{0};
 
 }  // namespace detail
 
+// The counters, declared once. stats_snapshot's fields and every dump
+// of them (bench/harness.hpp json_reporter) expand this list, so a
+// counter added here is dumped with no second list to keep in step.
+// X(name) per counter, in dump order.
+#define FLOCK_STATS_COUNTERS(X)                                              \
+  X(descriptors_created) /* lock acquisitions (lock-free mode) */           \
+  X(helps_attempted)     /* help() entries */                               \
+  X(helps_run)           /* help() revalidations that ran a thunk */        \
+  X(descriptors_reused)  /* fast-path pool reuse (never helped) */          \
+  X(helps_avoided)       /* throttled waits resolved without a help */      \
+  X(backoff_spins)       /* cpu_pause iterations spent backing off */       \
+  /* Fault-tolerance counters (chaos instrumentation + allocation      */   \
+  /* failure contract; all zero without FLOCK_CHAOS and without OOM).  */   \
+  X(alloc_failures)      /* null pool/array returns (allocator.hpp) */      \
+  X(resize_deferrals)    /* resizes deferred on allocation failure */       \
+  X(chaos_stalls)        /* injected stalls (chaos/faultpoint.hpp) */       \
+  X(chaos_kills)         /* injected kills (dead-holder parks) */           \
+  X(chaos_alloc_fails)   /* injected allocation failures */
+
 struct stats_snapshot {
-  uint64_t descriptors_created = 0;  // lock acquisitions (lock-free mode)
-  uint64_t helps_attempted = 0;      // help() entries
-  uint64_t helps_run = 0;            // help() revalidations that ran a thunk
-  uint64_t descriptors_reused = 0;   // fast-path pool reuse (never helped)
-  uint64_t helps_avoided = 0;        // throttled waits resolved without a help
-  uint64_t backoff_spins = 0;        // cpu_pause iterations spent backing off
-  // Fault-tolerance counters (chaos instrumentation + allocation failure
-  // contract; all zero in builds without FLOCK_CHAOS and without OOM).
-  uint64_t alloc_failures = 0;       // null pool/array returns (allocator.hpp)
-  uint64_t resize_deferrals = 0;     // resizes deferred on allocation failure
-  uint64_t chaos_stalls = 0;         // injected stalls (chaos/faultpoint.hpp)
-  uint64_t chaos_kills = 0;          // injected kills (dead-holder parks)
-  uint64_t chaos_alloc_fails = 0;    // injected allocation failures
+#define FLOCK_STATS_FIELD(name) uint64_t name = 0;
+  FLOCK_STATS_COUNTERS(FLOCK_STATS_FIELD)
+#undef FLOCK_STATS_FIELD
 };
 
 /// Aggregate counters across all threads (monotonic since process start).

@@ -85,23 +85,6 @@ struct alignas(2 * kCacheLine) thread_context {
   std::atomic<uint64_t> ann_packed{0};        //   (tagged.hpp)
   int epoch_depth = 0;  // with_epoch nesting; owner-only
 
-  // --- read_guard state machine (epoch.hpp): a read batch leaves the
-  // announcement slot armed ("sticky") between reads so consecutive finds
-  // skip the seq_cst announce. Three states:
-  //   0 — no sticky announcement; the slot quiesces normally.
-  //   1 — armed: the announcement is held between reads. Claimable by a
-  //       reclaiming thread (epoch_manager::lapse_idle_sticky) when the
-  //       announced epoch trails the global counter — an idle reader must
-  //       not pin reclamation forever.
-  //   2 — owner inside a top-level epoch region (read_guard/with_epoch);
-  //       the collector keeps hands off.
-  // The owner moves 0/1 -> 2 on region entry (exchange) and 2 -> 1 or 0 on
-  // exit; the collector moves 1 -> 0 (claim) before retracting the
-  // announcement, and 0 -> 1 only to undo a claim whose retraction missed.
-  // All protocol-bearing transitions are RMWs on this one byte, so owner
-  // and collector serialize per slot (orderings documented at each site).
-  std::atomic<uint8_t> read_sticky{0};
-
   // --- cold: epoch-retire backlog (owner-only; flush() requires
   // quiescence, same contract as the old per-id retire lists) -------------
   retire_batch* open = nullptr;         // partially filled batch
@@ -217,7 +200,6 @@ inline thread_local thread_context* tl_ctx = nullptr;
       // itself synchronizes through the allocator mutex.
       c->announced.store(-1, std::memory_order_relaxed);
       c->ann_loc.store(nullptr, std::memory_order_relaxed);  // mo: ditto
-      c->read_sticky.store(0, std::memory_order_relaxed);    // mo: ditto
 #ifdef FLOCK_DEBUG_API
       c->dbg_run_depth = 0;
       c->dbg_held = 0;
@@ -235,19 +217,6 @@ inline thread_local thread_context* tl_ctx = nullptr;
       }
 #endif
       tl_ctx = nullptr;
-      // A read batch may have left the announcement sticky (read_guard,
-      // epoch.hpp); clear it so the slot is handed back quiescent — a
-      // dead thread must not pin the epoch for the rest of the process.
-      // The exchange also races any in-flight collector claim correctly:
-      // exactly one side wins the 1, and the loser leaves the slot alone
-      // (a collector that wins retracts the announcement itself).
-      // mo: relaxed — own flag; the id hand-off synchronizes via the
-      // allocator mutex, and the announced store below carries release.
-      if (c->read_sticky.exchange(0, std::memory_order_relaxed) != 0) {
-        // mo: release — the next owner's (mutex-synchronized) scan and any
-        // collector must see this thread's protected accesses as finished.
-        c->announced.store(-1, std::memory_order_release);
-      }
       id_allocator::instance().release(c->id);
     }
   };

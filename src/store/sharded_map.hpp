@@ -17,6 +17,8 @@
 // correlated with the bucket index bit-aliases entire bucket classes
 // empty. With low-bit shard routing, shard s would only ever populate
 // buckets whose index is congruent to s — every shard table 1/N empty.
+// find() hashes once and hands the word down, so a read pays one
+// splitmix64 for both decisions.
 //
 // Cross-shard movement: try_move(sharded_map&, sharded_map&, k) routes
 // both endpoints to their shard tables and runs the hashtable try_move —
@@ -37,7 +39,6 @@
 #include "ds/hashtable.hpp"
 #include "ds/move.hpp"
 #include "flock/flock.hpp"
-#include "store/read_cache.hpp"
 
 namespace flock_store {
 
@@ -70,51 +71,13 @@ class sharded_map {
   bool insert(K k, V v) { return shard_for(k).insert(k, v); }
   bool remove(K k) { return shard_for(k).remove(k); }
 
-  /// Read path: consult the per-thread memoized-read cache first (a hot
-  /// zipf key resolves to one retirement-era compare plus one version
-  /// load), then the shard table's optimistic find; any validated fast-path
-  /// result — present OR absent — refreshes the cache. Writers invalidate
-  /// for free via the bucket version bump, so no coordination with
-  /// insert/remove/try_move or the migration engine is needed here. When
-  /// the payload does not support seqlock snapshots this collapses to the
-  /// plain routed find.
+  /// Read path: hash once, route on the top bits, and hand the same word
+  /// to the shard table's find, whose bucket index takes the low bits
+  /// (its seqlock snapshot walk, falling back to the logged walk).
   std::optional<V> find(K k) {
-    if constexpr (shard_t::kSeqlockReads) {
-      // One hash serves every tier of the read path: shard routing (top
-      // bits), memo-cache slot (middle bits), bucket index (low bits).
-      const uint64_t h = shard_t::hash_of(k);
-      // One guard across cache probe and fallback find: the armed
-      // announcement pins reclamation for the cached version-word
-      // dereference and for the probe the fill captures.
-      flock::read_guard g;
-      // Bucket-array retirement era, loaded AFTER the guard armed (a
-      // retire racing an unpinned window could evade both checks) and
-      // BEFORE the probe/lookup (so "era unchanged" at a later validation
-      // proves no array entered the reclaimer since capture). Both
-      // orderings carry the read_cache.hpp safety proof.
-      // mo: acquire — pairs with retire_table's seq_cst bump.
-      const uint64_t era =
-          flock_ds::g_table_retire_era.load(std::memory_order_acquire);
-      auto& cache = tls_read_cache<K, V>();
-      auto& e = cache.slot_for(store_id_, h);
-      if (const auto* hit = cache.lookup(e, store_id_, k, era))
-        return hit->present ? std::optional<V>(hit->value) : std::nullopt;
-      typename shard_t::read_probe probe;
-      std::optional<V> r =
-          shards_[shard_bits_ == 0 ? 0 : h >> (64 - shard_bits_)]->find(
-              k, probe, h);
-      if (probe.version != nullptr)
-        cache.fill(e, store_id_, k, r, probe.version, probe.snapshot, era);
-      return r;
-    } else {
-      return shard_for(k).find(k);
-    }
+    const uint64_t h = shard_t::hash_of(k);
+    return shards_[shard_index(h)]->find(k, h);
   }
-
-  /// Same-binary A/B hook (bench/micro_flock.cpp pr9_read_path): the
-  /// routed find with the optimistic read path disabled — no read_guard,
-  /// no memo cache, no seqlock snapshot; just the logged walk.
-  std::optional<V> find_baseline(K k) { return shard_for(k).find_baseline(k); }
 
   /// Exact resident-key count: O(total buckets) epoch-guarded scan summed
   /// across shards (exact only at quiescence, like hashtable::size).
@@ -175,13 +138,7 @@ class sharded_map {
   std::size_t shard_count() const { return shards_.size(); }
   shard_t& shard(std::size_t i) { return *shards_[i]; }
   const shard_t& shard(std::size_t i) const { return *shards_[i]; }
-  std::size_t shard_of(K k) const {
-    return shard_bits_ == 0
-               ? 0
-               : static_cast<std::size_t>(flock_ds::splitmix64(
-                     static_cast<uint64_t>(k)) >>
-                                          (64 - shard_bits_));
-  }
+  std::size_t shard_of(K k) const { return shard_index(shard_t::hash_of(k)); }
 
   struct rebalance_report {
     std::size_t moved = 0;       // keys that changed stores
@@ -247,12 +204,13 @@ class sharded_map {
                        std::type_identity_t<K2>);
 
   shard_t& shard_for(K k) { return *shards_[shard_of(k)]; }
+  std::size_t shard_index(uint64_t h) const {
+    return shard_bits_ == 0 ? 0
+                            : static_cast<std::size_t>(h >> (64 - shard_bits_));
+  }
 
   std::vector<std::unique_ptr<shard_t>> shards_;
   std::size_t shard_bits_ = 0;
-  // Process-unique identity for memoized-read entries (never recycled, so
-  // a destroyed store's cache entries can never validate; read_cache.hpp).
-  const uint64_t store_id_ = next_store_id();
 };
 
 /// Atomically move key `k` between two sharded stores (which may have

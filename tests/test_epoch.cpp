@@ -123,22 +123,18 @@ TEST(Epoch, ConcurrentRetireStress) {
             static_cast<long long>(kThreads) * 64 * 2);
 }
 
-// Regression (sticky-lapse): a thread whose LAST operation was a batched
-// read leaves its announcement armed (read_guard sticky exit) and then
-// goes idle without exiting. That pinned announcement must not block
-// reclamation forever: a reclaiming thread with a persistent backlog runs
-// lapse_idle_sticky(), claims the idle flag, and retracts the
-// announcement — with NO flush() (flush requires quiescence and is no
-// safety valve for a live-but-idle thread). Before the lapse existed,
-// every object retired after the reader's epoch stayed live for the rest
-// of the process.
-TEST(Epoch, IdleStickyReaderDoesNotPinReclamation) {
+// A thread whose LAST operation was a read and that then goes idle
+// without exiting must not pin reclamation: its epoch region retracted
+// the announcement on exit, so retires churned by another thread drain
+// with NO flush() (flush requires quiescence and is no safety valve for a
+// live-but-idle thread).
+TEST(Epoch, IdleReaderDoesNotPinReclamation) {
   std::atomic<bool> armed{false};
   std::atomic<bool> release{false};
-  // Park a thread right after a read batch: sticky flag 1, announcement
-  // held, owner alive but idle — the reviewer's pool-thread scenario.
+  // Park a thread right after a read: owner alive but idle, the
+  // pool-thread shape.
   std::thread idle_reader([&] {
-    { flock::read_guard g; }
+    flock::with_epoch([] {});
     armed.store(true);
     while (!release.load()) std::this_thread::yield();
   });
@@ -146,20 +142,17 @@ TEST(Epoch, IdleStickyReaderDoesNotPinReclamation) {
 
   long long before = tracked::live().load();
   // Churn enough retires through THIS thread to seal many batches: each
-  // seal whose cheap drain leaves a backlog takes the slow path, which
-  // lapses idle sticky announcements and advances the epoch. 40 batches
-  // give the collector dozens of lapse+advance opportunities.
+  // seal whose cheap drain leaves a backlog scans and advances the epoch.
   constexpr int kChurn = 64 * 40;
   for (int i = 0; i < kChurn; i++) {
     tracked* t = flock::pool_new<tracked>();
     flock::epoch_retire(t);
   }
-  // Without the lapse, the idle announcement pins every batch stamped at
-  // or after its epoch: live-before stays ~kChurn. With it, all but the
-  // newest few batches (open + freshly sealed, not yet past the bound)
-  // must have drained.
+  // An idle announcement would pin every batch stamped at or after its
+  // epoch: live-before would stay ~kChurn. All but the newest few batches
+  // (open + freshly sealed, not yet past the bound) must have drained.
   EXPECT_LE(tracked::live().load() - before, 64 * 4)
-      << "idle sticky reader pinned reclamation";
+      << "idle reader pinned reclamation";
 
   release.store(true);
   idle_reader.join();
@@ -167,30 +160,29 @@ TEST(Epoch, IdleStickyReaderDoesNotPinReclamation) {
   EXPECT_EQ(tracked::live().load(), before);
 }
 
-// The other half of the state machine: a reader INSIDE a read_guard
-// (state 2) must never be lapsed — the collector's claim CAS has to skip
-// it, and the object the guard protects has to survive arbitrary retire
-// churn from other threads.
-TEST(Epoch, InRegionReaderSurvivesLapseChurn) {
+// A reader INSIDE an epoch region keeps what it can reach alive: an
+// object retired after the reader announced, and everything retired
+// after it, survives arbitrary retire churn from another thread.
+TEST(Epoch, InRegionReaderSurvivesRetireChurn) {
   tracked* t = flock::pool_new<tracked>();
   std::atomic<bool> pinned{false};
   std::atomic<bool> release{false};
 
   std::thread reader([&] {
-    flock::read_guard g;  // held open: read_sticky state 2
-    pinned.store(true);
-    while (!release.load()) std::this_thread::yield();
-    // Must still be intact: retired after our announcement, and the
-    // in-region state bars the sticky-lapse from retracting it.
-    EXPECT_EQ(t->payload, 0xdeadbeefu);
+    flock::with_epoch([&] {  // held open across the churn
+      pinned.store(true);
+      while (!release.load()) std::this_thread::yield();
+      // Must still be intact: retired after our announcement.
+      EXPECT_EQ(t->payload, 0xdeadbeefu);
+    });
   });
   while (!pinned.load()) std::this_thread::yield();
 
   long long live_before = tracked::live().load();
   flock::epoch_retire(t);
-  // Heavy churn drives seal_and_reclaim's slow path — including
-  // lapse_idle_sticky — over and over; the reader's announcement must
-  // hold t (and everything retired after it) alive throughout.
+  // Heavy churn drives seal_and_reclaim's scan-and-advance path over and
+  // over; the reader's announcement must hold t (and everything retired
+  // after it) alive throughout.
   for (int i = 0; i < 64 * 20; i++) {
     tracked* x = flock::pool_new<tracked>();
     flock::epoch_retire(x);
@@ -202,21 +194,21 @@ TEST(Epoch, InRegionReaderSurvivesLapseChurn) {
   EXPECT_EQ(tracked::live().load(), live_before - 1);
 }
 
-// Back-to-back read batches keep reusing the sticky announcement, and the
-// collector must never lapse an ACTIVE reader: every value read under a
-// guard stays intact even while another thread's churn runs the lapse
-// continuously.
-TEST(Epoch, ActiveStickyReaderIsNeverLapsed) {
+// Back-to-back read regions (announce, read, quiesce, announce, ...) on
+// one thread: every value read inside a region stays intact while
+// another thread swaps and retires the object and churns the collector.
+TEST(Epoch, BackToBackReadRegionsSurviveRetireChurn) {
   std::atomic<tracked*> shared{flock::pool_new<tracked>()};
   std::atomic<bool> stop{false};
   std::atomic<long long> reads{0};
 
   std::thread reader([&] {
     while (!stop.load()) {
-      flock::read_guard g;  // sticky batches: 1 -> 2 -> 1 -> 2 -> ...
-      tracked* t = shared.load(std::memory_order_acquire);
-      ASSERT_EQ(t->payload, 0xdeadbeefu);
-      reads.fetch_add(1, std::memory_order_relaxed);
+      flock::with_epoch([&] {
+        tracked* t = shared.load(std::memory_order_acquire);
+        ASSERT_EQ(t->payload, 0xdeadbeefu);
+        reads.fetch_add(1, std::memory_order_relaxed);
+      });
     }
   });
   std::thread writer([&] {

@@ -44,8 +44,7 @@ TEST_P(HashtableTest, ChainsStaySorted) {
 
 // Regression: a trivially-copyable payload with NO default constructor
 // compiled with the pre-fast-path find() and must keep compiling. The
-// seqlock fast path (and the memo cache's entry) default-constructs
-// snapshot slots, so such a type must be routed off the fast path by the
+// seqlock fast path default-constructs its snapshot slot, so such a type must be routed off the fast path by the
 // kSeqlockReads gate — not fail to instantiate.
 struct no_default_v {
   uint64_t a;

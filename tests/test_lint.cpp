@@ -275,65 +275,6 @@ void c() { FLOCK_FAULTPOINT("w.x.p"); }
   EXPECT_NE(fs[0].message.find("2 files"), std::string::npos);
 }
 
-// --- R5: stats counters vs json_reporter keys -------------------------------
-
-namespace r5 {
-
-const char kSnapshotTwoFields[] = R"lint(
-struct stats_snapshot {
-  uint64_t descriptors_created = 0;
-  uint64_t helps_run = 0;
-};
-)lint";
-
-source_file reporter(const std::string& body) {
-  return source_file::from_string("bench/fixture.hpp",
-                                  "class json_reporter {\n void dump() {\n" +
-                                      body + " }\n};\n");
-}
-
-}  // namespace r5
-
-TEST(LintR5, FiresWhenCounterIsNeverDumped) {
-  auto snap = source_file::from_string("src/flock/fixture.hpp",
-                                       r5::kSnapshotTwoFields);
-  auto rep = r5::reporter(
-      "  std::printf(\"\\\"descriptors_created\\\": %llu\", 0ull);\n");
-  lint_config cfg;
-  cfg.only_rules = {"R5"};
-  auto fs = lint_files({snap, rep}, cfg);
-  ASSERT_EQ(count_rule(fs, "R5"), 1);
-  EXPECT_NE(fs[0].message.find("helps_run"), std::string::npos);
-  EXPECT_NE(fs[0].message.find("never dumped"), std::string::npos);
-}
-
-TEST(LintR5, FiresWhenReporterDumpsUnknownKey) {
-  auto snap = source_file::from_string("src/flock/fixture.hpp",
-                                       r5::kSnapshotTwoFields);
-  auto rep = r5::reporter(
-      "  std::printf(\"\\\"descriptors_created\\\": %llu\", 0ull);\n"
-      "  std::printf(\"\\\"helps_run\\\": %llu\", 0ull);\n"
-      "  std::printf(\"\\\"mystery_key\\\": %llu\", 0ull);\n");
-  lint_config cfg;
-  cfg.only_rules = {"R5"};
-  auto fs = lint_files({snap, rep}, cfg);
-  ASSERT_EQ(count_rule(fs, "R5"), 1);
-  EXPECT_NE(fs[0].message.find("mystery_key"), std::string::npos);
-}
-
-TEST(LintR5, MatchingSetsPassAndStructuralKeysAreIgnored) {
-  auto snap = source_file::from_string("src/flock/fixture.hpp",
-                                       r5::kSnapshotTwoFields);
-  auto rep = r5::reporter(
-      "  std::printf(\"\\\"stats\\\": {\");\n"
-      "  std::printf(\"\\\"descriptors_created\\\": %llu\", 0ull);\n"
-      "  std::printf(\"\\\"helps_run\\\": %llu\", 0ull);\n"
-      "  std::printf(\"\\\"series\\\": [\");\n");
-  lint_config cfg;
-  cfg.only_rules = {"R5"};
-  EXPECT_EQ(count_rule(lint_files({snap, rep}, cfg), "R5"), 0);
-}
-
 // --- baseline round-trip ----------------------------------------------------
 
 TEST(LintBaseline, RoundTripSuppressesExactlyTheSerializedFindings) {

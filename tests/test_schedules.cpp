@@ -715,7 +715,7 @@ TEST_F(ScheduleTest, SeededWalkSweepOverGrowScenario) {
   }
 }
 
-// --- scenario: optimistic validated reads (seqlock + memo cache) ------------
+// --- scenario: optimistic validated reads (bucket seqlock) -------------------
 //
 // The PR-9 read path added reader-side windows (ht.read.post_v1 /
 // ht.read.pre_validate: snapshot begun / loads done but unvalidated) and
@@ -950,24 +950,23 @@ TEST_F(ScheduleTest, ValidatedReadVsMigrationForwardExhaustiveBothModes) {
   }
 }
 
-// --- scenario: the store-tier memo cache under writer invalidation -----------
+// --- scenario: store reads are monotone under a writer ----------------------
 //
-// The sharded_map read path consults the per-thread memoized-read cache
-// before touching the table. The reader's first find fills its cache; the
-// later finds may be served FROM the cache, so the property under test is
-// the invalidation protocol itself: a memoized value may only be returned
-// while the bucket version word still holds the captured snapshot, so a
-// cache hit must never travel backwards past a writer the fallback path
-// already observed. Monotonicity across r1..r3 is asserted on every
+// The sharded_map read path routes on the hash and runs the shard table's
+// seqlock snapshot walk, falling back to the logged walk when the bucket
+// counters move. Three reads of one key on one thread, racing a writer's
+// remove + re-insert, may only move forward through the writer's program
+// order: a validated snapshot must never return a state older than one a
+// previous read (fast or logged) already observed. Asserted on every
 // schedule in both lock modes.
-struct cache_state {
+struct store_read_state {
   std::unique_ptr<flock_store::sharded_map<long, long, false>> sm;
   std::optional<long> r1, r2, r3;
 };
 
-sched::scenario make_cache_scenario(bool blocking,
-                                    std::shared_ptr<cache_state> st,
-                                    const char* name) {
+sched::scenario make_store_read_scenario(bool blocking,
+                                         std::shared_ptr<store_read_state> st,
+                                         const char* name) {
   sched::scenario sc;
   sc.name = name;
   sc.setup = [st, blocking] {
@@ -986,8 +985,8 @@ sched::scenario make_cache_scenario(bool blocking,
     EXPECT_TRUE(st->sm->insert(5, 501));
   });
   sc.threads.push_back([st] {
-    st->r1 = st->sm->find(5);  // fills this thread's cache on a hit
-    st->r2 = st->sm->find(5);  // may be served from the cache
+    st->r1 = st->sm->find(5);
+    st->r2 = st->sm->find(5);
     st->r3 = st->sm->find(5);
     EXPECT_EQ(st->sm->find(6), std::optional<long>(600));
   });
@@ -998,8 +997,8 @@ sched::scenario make_cache_scenario(bool blocking,
       EXPECT_TRUE(!r->has_value() || **r == 500 || **r == 501)
           << opt_str(*r) << " " << rep.schedule_string();
       // Writer program order is 500 -> miss -> 501; reads of one thread
-      // may only move forward through it. A stale cache hit after the
-      // fallback path saw a later state would break exactly this.
+      // may only move forward through it. A stale snapshot after an
+      // earlier read saw a later state would break exactly this.
       int stage = !r->has_value() ? 1 : (**r == 501 ? 2 : 0);
       EXPECT_GE(stage, seen) << "non-monotone reads: " << opt_str(st->r1)
                              << "," << opt_str(st->r2) << ","
@@ -1019,11 +1018,11 @@ sched::scenario make_cache_scenario(bool blocking,
   return sc;
 }
 
-TEST_F(ScheduleTest, MemoCacheInvalidationExhaustiveBothModes) {
+TEST_F(ScheduleTest, StoreReadMonotonicityExhaustiveBothModes) {
   for (bool blocking : {false, true}) {
-    auto st = std::make_shared<cache_state>();
-    sched::scenario sc = make_cache_scenario(
-        blocking, st, blocking ? "memo_cache_blocking" : "memo_cache_lockfree");
+    auto st = std::make_shared<store_read_state>();
+    sched::scenario sc = make_store_read_scenario(
+        blocking, st, blocking ? "store_read_blocking" : "store_read_lockfree");
     sched::explore_options o;
     o.preemption_bound = 2;
     o.run = vread_filter();

@@ -1,6 +1,6 @@
 // rules.hpp — the flock-lint rule engine.
 //
-// Five rules enforce the discipline that the lock-free-locks reproduction
+// Four rules enforce the discipline that the lock-free-locks reproduction
 // otherwise states only in comments (see ARCHITECTURE.md "Correctness
 // tooling" and the per-rule rationale strings below):
 //
@@ -11,10 +11,8 @@
 //       src/ds/, and src/store/ carries a `// mo:` justification comment
 //   R4  faultpoint name registry: well-formed, single-file, kind-unique,
 //       and every name armed by tests resolves to a real fault point
-//   R5  stats counters declared in stats_snapshot and the keys dumped by
-//       json_reporter stay in sync
 //
-// R1–R3 are per-file; R4/R5 need the whole file set (corpus rules).
+// R1–R3 are per-file; R4 needs the whole file set (a corpus rule).
 // Everything is lexical: no type information, no preprocessing. Escapes
 // that the lexical level cannot see (e.g. a bare `.load()` on a
 // std::atomic member, which is spelled identically to the sanctioned
@@ -37,7 +35,7 @@
 namespace flock_lint {
 
 struct finding {
-  std::string rule;     // "R1".."R5"
+  std::string rule;     // "R1".."R4"
   std::string path;
   int line;
   std::string message;
@@ -75,10 +73,6 @@ inline const std::vector<rule_doc>& rule_docs() {
        "chaos test into a no-op. Names must be well-formed dotted "
        "lower-case, live in one file, keep one kind (fault vs sched), and "
        "every armed name must exist as a real fault point."},
-      {"R5", "stats_snapshot fields and json_reporter keys stay in sync",
-       "A counter added to stats.hpp but not dumped by the bench "
-       "json_reporter (or vice versa) silently drops observability that "
-       "perf tracking across PRs depends on."},
   };
   return docs;
 }
@@ -422,95 +416,9 @@ inline void run_r4(const std::vector<source_file>& files,
   }
 }
 
-// --- R5 -------------------------------------------------------------------
-
-inline void run_r5(const std::vector<source_file>& files,
-                   const std::vector<std::vector<token>>& toks,
-                   std::vector<finding>& out) {
-  // Locate the snapshot struct and the reporter by content marker, not by
-  // path, so fixture tests can exercise the rule with embedded snippets.
-  std::map<std::string, int> snap_fields;  // name -> line
-  std::string snap_file;
-  int snap_line = 0;
-  std::map<std::string, int> json_keys;
-  std::string json_file;
-  int json_line = 0;
-
-  for (std::size_t fi = 0; fi < files.size(); fi++) {
-    const std::vector<token>& t = toks[fi];
-    for (std::size_t k = 0; k + 1 < t.size(); k++) {
-      if (t[k].kind == tok_kind::ident && t[k].text == "struct") {
-        std::size_t nm = next_code(t, k + 1);
-        if (nm < t.size() && t[nm].text == "stats_snapshot") {
-          snap_file = files[fi].path;
-          snap_line = t[k].line;
-          // Member decls: `uint64_t NAME ( = ... )? ;` up to the matching
-          // close brace.
-          std::size_t j = next_code(t, nm + 1);
-          if (j < t.size() && t[j].text == "{") {
-            int depth = 1;
-            j++;
-            while (j < t.size() && depth > 0) {
-              if (t[j].kind == tok_kind::punct) {
-                if (t[j].text == "{") depth++;
-                if (t[j].text == "}") depth--;
-              } else if (depth == 1 && t[j].kind == tok_kind::ident &&
-                         t[j].text == "uint64_t") {
-                std::size_t nmf = next_code(t, j + 1);
-                if (nmf < t.size() && t[nmf].kind == tok_kind::ident)
-                  snap_fields.emplace(t[nmf].text, t[nmf].line);
-              }
-              j++;
-            }
-          }
-        }
-      }
-      if (t[k].kind == tok_kind::ident && t[k].text == "json_reporter") {
-        std::size_t p = prev_code(t, k);
-        if (p != std::string::npos && t[p].kind == tok_kind::ident &&
-            (t[p].text == "class" || t[p].text == "struct")) {
-          json_file = files[fi].path;
-          json_line = t[k].line;
-          // Harvest \"key\": patterns from every string literal in the
-          // file (the printf format strings of the stats block).
-          static const std::regex key_re(
-              "\\\\\"([A-Za-z_][A-Za-z0-9_]*)\\\\\"\\s*:");
-          for (const token& tk : toks[fi]) {
-            if (tk.kind != tok_kind::str) continue;
-            auto begin = std::sregex_iterator(tk.text.begin(), tk.text.end(),
-                                              key_re);
-            for (auto it = begin; it != std::sregex_iterator(); ++it) {
-              std::string key = (*it)[1].str();
-              if (key == "series" || key == "stats") continue;  // structure
-              json_keys.emplace(key, tk.line);
-            }
-          }
-        }
-      }
-    }
-  }
-
-  if (snap_file.empty() || json_file.empty()) return;  // nothing to check
-  for (const auto& [name, line] : snap_fields)
-    if (json_keys.count(name) == 0)
-      out.push_back({"R5", snap_file, line,
-                     "stats counter `" + name +
-                         "` is declared in stats_snapshot but never dumped "
-                         "by json_reporter",
-                     ""});
-  for (const auto& [name, line] : json_keys)
-    if (snap_fields.count(name) == 0)
-      out.push_back({"R5", json_file, line,
-                     "json_reporter dumps key \"" + name +
-                         "\" which is not a stats_snapshot counter",
-                     ""});
-  (void)snap_line;
-  (void)json_line;
-}
-
 }  // namespace detail
 
-/// Run all enabled rules over a file set. R1–R3 run per file, R4/R5 over
+/// Run all enabled rules over a file set. R1–R3 run per file, R4 over
 /// the corpus. Findings come back sorted by (path, line, rule).
 inline std::vector<finding> lint_files(const std::vector<source_file>& files,
                                        const lint_config& cfg = {}) {
@@ -531,7 +439,6 @@ inline std::vector<finding> lint_files(const std::vector<source_file>& files,
       detail::run_r3(f, t, out);
   }
   if (cfg.enabled("R4")) detail::run_r4(files, toks, out);
-  if (cfg.enabled("R5")) detail::run_r5(files, toks, out);
 
   std::sort(out.begin(), out.end(), [](const finding& a, const finding& b) {
     if (a.path != b.path) return a.path < b.path;
