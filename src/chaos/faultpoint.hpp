@@ -72,9 +72,6 @@ inline constexpr const char* kKnownPoints[] = {
     "ht.root.pre_retire",       // root swung, table epoch-retire pending
     "ht.resize.alloc",          // successor-table allocation (alloc-fail)
     "ht.move.pre_splice",       // inside the cross-table move's inner CS
-    "ht.ver.pre_exit",          // bucket CS done, exit bump pending (a
-                                // kill leaves ver_enter ahead for good —
-                                // the bucket becomes fallback-only)
     "epoch.retire",             // retire push onto the open batch
     "epoch.seal",               // batch seal + reclamation decision
     "alloc.refill",             // slab refill (alloc-fail capable)

@@ -40,9 +40,10 @@
 //    the frozen chain(s) into the successor (chains are sorted; a grow
 //    splits on one hash bit and a shrink merges two disjoint sorted
 //    chains, so sortedness is preserved), publishes the new chains,
-//    retires the originals, and only then marks the old bucket(s)
-//    "forwarded" (their write_once flags). Every step is idempotent, so
-//    helpers can replay the thunk safely.
+//    marks the old bucket(s) "forwarded" (their write_once flags), and
+//    only then retires the originals, which new readers can no longer
+//    reach. Every step is idempotent, so helpers can replay the thunk
+//    safely.
 //  * Updaters re-validate the forwarded flag inside their own critical
 //    section (same lock), so a forwarded bucket is frozen forever; any
 //    operation that lands on one chases `table->next`. Updaters that
@@ -95,38 +96,6 @@ template <class K, class V, bool Strict = false>
 class hashtable {
   struct node;
 
-  // --- optimistic read-path gate -----------------------------------------
-  // The seqlock snapshot copies k/v with relaxed atomic_ref loads, and
-  // node construction stores k/v with relaxed atomic_ref stores (see
-  // node), so the by-design race between a stale-counter walk and a
-  // writer building or recycling a node is an ATOMIC race — defined
-  // behavior whose possibly-torn result the version validation discards —
-  // not UB, and TSan sees no mixed access. That needs lock-free
-  // atomic_ref coverage of the payload, plus TRIVIAL default
-  // constructibility, which buys two things: the fast path materializes
-  // an empty snapshot slot before the walk decides whether to keep it,
-  // and the constructor's default-init of k/v is guaranteed to touch no
-  // memory, so the atomic stores are the ONLY payload writes a racing
-  // reader can meet. Anything else takes the logged walk unconditionally,
-  // exactly as every K/V did before the fast path existed.
-  template <class T>
-  static constexpr bool seqlock_copyable() {
-    if constexpr (std::is_trivially_copyable_v<T> && !std::is_const_v<T> &&
-                  !std::is_reference_v<T> &&
-                  std::is_trivially_default_constructible_v<T>) {
-      return std::atomic_ref<T>::is_always_lock_free &&
-             alignof(T) >= std::atomic_ref<T>::required_alignment;
-    } else {
-      return false;
-    }
-  }
-
- public:
-  static constexpr bool kSeqlockReads =
-      seqlock_copyable<K>() && seqlock_copyable<V>();
-
- private:
-
   /// Fields shared by a bucket head and a chain node: the link that a
   /// predecessor-of-cur may be either, and the freeze flag (a node's
   /// "deleted", a bucket's "forwarded") that validation reads through the
@@ -137,30 +106,9 @@ class hashtable {
   };
 
   struct node : chain_head {
-    // Not const under kSeqlockReads: construction goes through atomic_ref
-    // stores (below), which need mutable fields. Nodes stay logically
-    // immutable after construction either way — nothing assigns k or v.
-    std::conditional_t<kSeqlockReads, K, const K> k;
-    std::conditional_t<kSeqlockReads, V, const V> v;
-    // Fast-path construction: an unlogged snapshot walk may read a node's
-    // fields with relaxed atomic_ref loads while the pool recycles that
-    // memory into a new node (the walk validates-then-discards), so the
-    // constructor's stores must be atomic too — plain member init would
-    // make that by-design race UB, and TSan flags exactly that pair.
-    // Default-init of k/v is a guaranteed no-op (the gate requires
-    // trivial default construction), so these are the only payload writes.
-    node(K key, V val, node* nxt) requires(kSeqlockReads) {
-      // Pre-publication stores: the chain edge that publishes the node
-      // releases, and racing snapshot readers are ordered by the seqlock
-      // validation, not by these stores.
-      // mo: relaxed — both stores below (see above).
-      std::atomic_ref<K>(k).store(key, std::memory_order_relaxed);
-      std::atomic_ref<V>(v).store(val, std::memory_order_relaxed);
-      this->next.init(nxt);
-      this->removed.init(false);
-    }
-    node(K key, V val, node* nxt) requires(!kSeqlockReads)
-        : k(key), v(val) {
+    const K k;
+    const V v;
+    node(K key, V val, node* nxt) : k(key), v(val) {
       this->next.init(nxt);
       this->removed.init(false);
     }
@@ -169,23 +117,10 @@ class hashtable {
   struct bucket : chain_head {
     flock::lock lck;  // the bucket lock: every update to the chain and
                       // the bucket's one migration run under it
-    // Seqlock entry/exit counter pair for the optimistic read path.
-    // Every mutation of this bucket's chain — updates AND the bucket's
-    // migration unit — is bracketed by ver_begin (ver_enter++) / ver_end
-    // (ver_exit++) around its lock acquisition (the bumps are raw RMWs
-    // and must stay OUTSIDE the idempotent thunk, see ver_begin). The
-    // pair, not a single odd/even word, because brackets of CONTENDING
-    // writers overlap: both bump before either holds the lock, and with
-    // one word two entry bumps restore "even" while a critical section is
-    // still in flight. With the pair, ver_enter == ver_exit certifies
-    // every writer that ever entered has exited — quiescence survives any
-    // interleaving of brackets. A reader that captures v1 = ver_exit,
-    // sees ver_enter == v1, walks unlogged, and re-reads ver_enter == v1
-    // holds a consistent snapshot. 64-bit monotone: never wraps, so
-    // validation is ABA-free.
-    std::atomic<uint64_t> ver_enter{0};
-    std::atomic<uint64_t> ver_exit{0};
   };
+  // One word each for the chain link, the forwarded flag and the lock;
+  // K and V live only in nodes.
+  static_assert(sizeof(bucket) == 24);
 
   struct table {
     std::size_t mask = 0;                   // buckets - 1 (power of two)
@@ -216,59 +151,6 @@ class hashtable {
       return flock::strict_lock(l, std::forward<F>(f));
     else
       return flock::try_lock(l, std::forward<F>(f));
-  }
-
-  // --- seqlock writer brackets -------------------------------------------
-  // The counter bumps are raw fetch_adds and therefore NOT idempotent, so
-  // they must never execute inside a lock's thunk (helpers replay thunks;
-  // a replayed bump would tear the entry/exit accounting). They bracket
-  // the acquire() call instead, which is safe because acquire() returns
-  // only AFTER the critical section has fully run (lock.hpp: every return
-  // true is preceded by run_and_unlock) — helper-completed stores all
-  // land while ver_enter > ver_exit, i.e. while readers see a writer
-  // present. Brackets of contending writers may overlap freely: each
-  // unmatched entry keeps the pair imbalanced, so no interleaving of
-  // bumps can make the bucket look quiescent while any critical section
-  // is in flight (the single-word odd/even scheme failed exactly here).
-  // A bracket around a FAILED acquire is a harmless balanced +1/+1
-  // (readers whose window overlaps it retry/fall back). A writer killed
-  // between the brackets leaves ver_enter ahead forever: the bucket's
-  // fast path degrades to permanent fallback, correctness is untouched
-  // (the logged walk never looks at the counters).
-  static void ver_begin(bucket* s) {
-    // Seqlock writer entry (Boehm): the fence orders the entry bump
-    // before every subsequent chain store, so a reader that observes any
-    // CS store and then re-reads ver_enter through its acquire fence is
-    // guaranteed to see this bump (or later) and discard its snapshot.
-    // mo: relaxed — the release fence below carries all the ordering.
-    s->ver_enter.fetch_add(1, std::memory_order_relaxed);
-    // mo: release fence — the seqlock writer-entry fence just described.
-    std::atomic_thread_fence(std::memory_order_release);
-    // Window: entry published, critical section not yet entered.
-    // Enumerable by the schedule explorer so torn-read candidates
-    // interleave here.
-    FLOCK_SCHEDPOINT("ht.ver.post_enter");
-  }
-  static void ver_end(bucket* s) {
-    // Window: critical section complete, exit not yet published. A kill
-    // here is the stuck-entry scenario: readers of this bucket fall back
-    // to the logged walk forever (perf loss only; see ver_begin).
-    FLOCK_FAULTPOINT("ht.ver.pre_exit");
-    // mo: release — publishes the critical section's chain stores to the
-    // reader's acquire load of ver_exit (seqlock writer exit): a reader
-    // whose captured v1 counts this exit sees its stores completely.
-    s->ver_exit.fetch_add(1, std::memory_order_release);
-  }
-
- private:
-  /// Relaxed atomic copy of a possibly-racing node field (see the gate
-  /// comment above); the seqlock validation decides whether to keep it.
-  template <class T>
-  static T relaxed_copy(const T& field) {
-    // mo: relaxed — intentionally unordered snapshot load; the version
-    // re-read through the acquire fence supplies all needed ordering.
-    return std::atomic_ref<T>(const_cast<T&>(field))
-        .load(std::memory_order_relaxed);
   }
 
  public:
@@ -314,133 +196,33 @@ class hashtable {
   std::optional<V> find(K k) { return find(k, hash_of(k)); }
 
   /// find with the key's hash precomputed (the store tier hashes once and
-  /// derives shard and bucket index from the same word). One epoch region
-  /// covers both walks: the fast path follows raw pointers into bucket
-  /// arrays that a finished resize truly frees (array_delete on retire),
-  /// and whatever it cannot certify goes to the logged walk.
+  /// derives shard and bucket index from the same word): one epoch-guarded
+  /// lock-free walk that never locks and never helps. The loads are
+  /// mutable_/write_once loads, so a find issued inside a thunk is logged
+  /// and stays idempotent; outside one they are plain acquire loads.
   std::optional<V> find(K k, uint64_t h) {
     return flock::with_epoch([&]() -> std::optional<V> {
-      if constexpr (kSeqlockReads) {
-        V out{};
-        switch (find_fast(k, out, h)) {
-          case kFastHit:
-            return out;
-          case kFastMiss:
-            return std::nullopt;
-          default:
-            break;  // contended / mid-migration / unbounded chain
+      const table* t = root_.load();
+      while (true) {
+        const bucket* s = &t->buckets[static_cast<std::size_t>(h) & t->mask];
+        if (!s->removed.load()) {
+          // Not forwarded when we looked. If a migration completes under
+          // the walk the chain is left frozen (migration copies, never
+          // splices), so whatever the walk observes is the bucket's
+          // authoritative pre-forward state and both hit and miss
+          // linearize within this find; no version check is needed. The
+          // flag is published only after the successor chains, so a set
+          // flag always finds `next` installed.
+          FLOCK_SCHEDPOINT("ht.read.post_flag");
+          node* cur = s->next.load();
+          while (cur != nullptr && cur->k < k) cur = cur->next.load();
+          if (cur != nullptr && cur->k == k && !cur->removed.load())
+            return cur->v;
+          return std::nullopt;
         }
+        t = t->next.read_raw();  // forwarded => successor exists
       }
-      return find_slow(k, h);
     });
-  }
-
- private:
-  // Fast-path outcomes: hit and miss are VALIDATED results; fallback means
-  // the snapshot could not be certified and the logged walk must decide.
-  static constexpr int kFastHit = 0;
-  static constexpr int kFastMiss = 1;
-  static constexpr int kFastFallback = 2;
-  // Bound on the unlogged walk: a snapshot that raced node recycling can
-  // in principle chase stale next pointers in a cycle; the bound turns
-  // that into a fallback instead of a hang. Generous — at load factor ~1
-  // a chain longer than this means the table is mid-ramp anyway.
-  static constexpr int kMaxFastWalk = 64;
-
-  /// Seqlock snapshot read (only instantiated when kSeqlockReads): load
-  /// ver_exit → check ver_enter balanced → raw walk → fence → re-load
-  /// ver_enter. No logging, no lock traffic, no epoch announce of its own
-  /// (caller is inside with_epoch).
-  int find_fast(K k, V& out, uint64_t h) {
-    const table* t = root_.read_raw();
-    bucket* s = &t->buckets[static_cast<std::size_t>(h) & t->mask];
-    // mo: acquire — seqlock v1: pairs with ver_end's release bumps (RMW
-    // release sequence), so a snapshot whose captured exit count is v1
-    // sees the complete stores of all v1 exited critical sections.
-    const uint64_t v1 = s->ver_exit.load(std::memory_order_acquire);
-    // Writer-presence gate: entries bump before critical sections and
-    // exits after, so ver_enter == v1 proves every writer that ever
-    // entered this bucket had exited by the v1 load — the bucket was
-    // quiescent no matter how many writer brackets overlapped (or a
-    // killed writer left ver_enter ahead for good — then this bucket is
-    // permanently fallback-only, see ver_begin).
-    // mo: relaxed — pure early-out; the closing reload below, ordered by
-    // the acquire fence, is the load the protocol trusts.
-    if (s->ver_enter.load(std::memory_order_relaxed) != v1)
-      return kFastFallback;  // writer (or corpse) present
-    // Window: snapshot begun at a balanced counter pair, chain loads not
-    // yet done. The schedule explorer preempts here to drive writers
-    // (entry/exit bumps, payload stores, migration forwards) under an
-    // in-flight snapshot — the torn-read candidates the validation must
-    // reject.
-    FLOCK_SCHEDPOINT("ht.read.post_v1");
-    if (s->removed.read_raw()) return kFastFallback;  // forwarded ⇒ migrate
-    node* cur = raw_next(s);
-    bool hit = false;
-    int steps = 0;
-    while (cur != nullptr) {
-      if (++steps > kMaxFastWalk) return kFastFallback;
-      const K ck = relaxed_copy(cur->k);
-      if (ck < k) {
-        cur = raw_next(cur);
-        continue;
-      }
-      if (ck == k && !cur->removed.read_raw()) {
-        out = relaxed_copy(cur->v);
-        hit = true;
-      }
-      break;  // first key >= k decides hit or miss
-    }
-    // Window: chain loads done, validation not yet performed — a writer
-    // scheduled here invalidates the snapshot and must force fallback.
-    FLOCK_SCHEDPOINT("ht.read.pre_validate");
-    // Seqlock validation (Boehm): if any load above observed a store made
-    // after a writer's entry fence, this fence forces the re-read below
-    // to see that writer's entry bump (or later) — snapshot discarded.
-    // Counting argument for overlapping writers: ver_enter is monotone
-    // and always >= ver_exit, so "ver_exit was v1 at the open AND
-    // ver_enter is still v1 here" pins ver_enter == ver_exit == v1 for
-    // the whole window — no writer was inside the bucket at any point,
-    // however many brackets raced each other before our window.
-    // mo: acquire fence — the seqlock reader-exit fence just described.
-    std::atomic_thread_fence(std::memory_order_acquire);
-    // mo: relaxed — ordered entirely by the fence above.
-    if (s->ver_enter.load(std::memory_order_relaxed) != v1)
-      return kFastFallback;
-    return hit ? kFastHit : kFastMiss;
-  }
-
-  /// Unlogged chain-pointer read for the fast path.
-  static node* raw_next(const chain_head* p) {
-    // mo: relaxed — snapshot traversal load; the seqlock validation (and
-    // the ver_exit acquire, for chains quiet since their publishing CS)
-    // orders it. Packed accessor: mutable_ has no relaxed value-typed read.
-    return flock::from_bits48<node*>(
-        flock::val_of(p->next.read_raw_packed_relaxed()));
-  }
-
-  /// The logged walk; the authority the fast path defers to whenever it
-  /// cannot certify a snapshot. Caller must be inside with_epoch.
-  std::optional<V> find_slow(K k, uint64_t h) {
-    const table* t = root_.load();
-    while (true) {
-      const bucket* s = &t->buckets[static_cast<std::size_t>(h) & t->mask];
-      if (!s->removed.load()) {
-        // Not forwarded when we looked. If a migration completes under
-        // the scan the chain is left frozen (migration copies, never
-        // splices), so whatever this scan observes is the bucket's
-        // authoritative pre-forward state and both hit and miss
-        // linearize within our interval; no re-check is needed. The
-        // flag is published only after the successor chains, so a set
-        // flag below always finds `next` installed.
-        node* cur = s->next.load();
-        while (cur != nullptr && cur->k < k) cur = cur->next.load();
-        if (cur != nullptr && cur->k == k && !cur->removed.load())
-          return cur->v;
-        return std::nullopt;
-      }
-      t = t->next.read_raw();  // forwarded => successor exists
-    }
   }
 
  public:
@@ -456,7 +238,6 @@ class hashtable {
         // validation fails against the completed unlink and we retry.
         if (cur != nullptr && cur->k == k && !cur->removed.load())
           return false;
-        ver_begin(s);
         const bool ok = acquire(s->lck, [=] {
           if (s->removed.load()) return false;  // forwarded meanwhile
           if (prev != s && prev->removed.load()) return false;
@@ -465,7 +246,6 @@ class hashtable {
           prev->next = n;
           return true;
         });
-        ver_end(s);
         if (ok) {
           note_update(+1);
           return true;
@@ -480,7 +260,6 @@ class hashtable {
         bucket* s = locate_update(k);
         auto [prev, cur] = search_from(s, k);
         if (cur == nullptr || cur->k != k) return false;
-        ver_begin(s);
         const bool ok = acquire(s->lck, [=] {
           if (s->removed.load()) return false;  // forwarded meanwhile
           if (prev != s && prev->removed.load()) return false;
@@ -491,7 +270,6 @@ class hashtable {
           flock::retire<node>(cur);
           return true;
         });
-        ver_end(s);
         if (ok) {
           note_update(-1);
           return true;
@@ -762,13 +540,23 @@ class hashtable {
   }
 
   /// Append an idempotent copy of chain node c after *tl, advancing *tl.
-  /// The retire of the original is safe inside the critical section:
-  /// epoch-protected readers may still be scanning the frozen chain.
   static void append_copy(chain_head*& tl, node* c) {
     node* copy = flock::allocate<node>(c->k, c->v, nullptr);
     tl->next = copy;
     tl = copy;
-    flock::retire<node>(c);
+  }
+
+  /// Retire a forwarded bucket's frozen chain. Only once the forwarded
+  /// flag is set: until then a reader that enters a later epoch can still
+  /// walk into the chain, and an earlier retire would let reclamation
+  /// free nodes under that walk (the unlink-then-retire order every
+  /// other retire in the table follows).
+  static void retire_chain(const bucket* s) {
+    for (node* c = s->next.load(); c != nullptr;) {
+      node* nxt = c->next.load();
+      flock::retire<node>(c);
+      c = nxt;
+    }
   }
 
   /// Migrate unit u of the t -> nt resize. Returns after the unit's old
@@ -788,13 +576,6 @@ class hashtable {
     bucket* lo = &nt->buckets[i];
     bucket* hi = &nt->buckets[i + t->nbuckets()];
     const uint64_t bit = t->nbuckets();  // hash bit the split keys on
-    // Seqlock bracket on the SOURCE bucket: the unit retires its nodes and
-    // sets its forwarded flag, either of which must invalidate snapshots
-    // of s. The successor buckets need no bracket here: they are
-    // unreachable by the optimistic path until the root swings, which
-    // happens-after every unit completed (migrated-counter acq_rel chain),
-    // and direct updates to them bracket normally.
-    ver_begin(s);
     bool did = acquire(s->lck, [=] {
       if (s->removed.load()) return false;  // lost the race
       // The chain is frozen: every update to this bucket takes this same
@@ -813,9 +594,9 @@ class hashtable {
       // helpers must replay this thunk to completion.
       FLOCK_FAULTPOINT("ht.grow.pre_publish");
       s->removed = true;  // forwarded: published after the copies are live
+      retire_chain(s);
       return true;
     });
-    ver_end(s);
     return did ? 1 : 0;
   }
 
@@ -844,13 +625,6 @@ class hashtable {
     // unit has no such window: its single flag is the thunk's last
     // store.)
     if (hi->removed.read_raw()) return 0;  // unit already migrated
-    // Seqlock brackets on BOTH source buckets (the merge retires nodes of
-    // each and forwards both); nesting order mirrors the lock nest. The
-    // destination bucket is pre-swing successor state — unreachable by the
-    // optimistic path — so its single-store publish needs no bracket (see
-    // migrate_unit_grow).
-    ver_begin(lo);
-    ver_begin(hi);
     bool did = acquire(lo->lck, [=] {
       if (lo->removed.load()) return false;  // lost the race
       return acquire(hi->lck, [=] {
@@ -874,7 +648,6 @@ class hashtable {
           else
             tail->next = copy;
           tail = copy;
-          flock::retire<node>(src);  // readers may still scan the original
           src = src->next.load();
         };
         while (a != nullptr || b != nullptr) {
@@ -889,11 +662,11 @@ class hashtable {
         dst->next = head;     // single publish of the whole merge
         lo->removed = true;   // flags strictly after the publish: a set
         hi->removed = true;   // flag always finds dst fully merged
+        retire_chain(lo);
+        retire_chain(hi);
         return true;
       });
     });
-    ver_end(hi);
-    ver_end(lo);
     return did ? 2 : 0;
   }
 
@@ -1139,16 +912,10 @@ bool try_move(hashtable<K, V, Strict>& from, hashtable<K, V, Strict>& to,
       return true;
     };
     bool ok;
-    // Seqlock brackets on both endpoint buckets (the splice mutates each
-    // side's chain); raw bumps outside the nest, like every other writer.
-    ht::ver_begin(fs);
-    ht::ver_begin(ts);
     if (reinterpret_cast<uintptr_t>(fs) < reinterpret_cast<uintptr_t>(ts))
       ok = ht::acquire(fs->lck, [=] { return ht::acquire(ts->lck, splice); });
     else
       ok = ht::acquire(ts->lck, [=] { return ht::acquire(fs->lck, splice); });
-    ht::ver_end(ts);
-    ht::ver_end(fs);
     if (ok) {
       from.note_update(-1);
       to.note_update(+1);

@@ -11,6 +11,7 @@
 // whole tree) uniformly provides a parent/grandparent.
 #pragma once
 
+#include <algorithm>
 #include <optional>
 
 #include "flock/flock.hpp"
@@ -167,6 +168,9 @@ class leaftree {
     return ok;
   }
 
+  /// Leaves on the longest root-to-leaf path (0 when empty).
+  std::size_t max_depth() const { return depth(root_->left.read_raw()); }
+
   template <class F>
   void for_each(F&& f) const {
     walk(root_->left.read_raw(), f);
@@ -202,6 +206,13 @@ class leaftree {
     destroy(as_int(n)->left.read_raw());
     destroy(as_int(n)->right.read_raw());
     flock::pool_delete(as_int(n));
+  }
+
+  static std::size_t depth(node* n) {
+    if (n == nullptr) return 0;
+    if (n->is_leaf) return 1;
+    return 1 + std::max(depth(as_int(n)->left.read_raw()),
+                        depth(as_int(n)->right.read_raw()));
   }
 
   static std::size_t count(node* n) {

@@ -73,7 +73,7 @@ class sharded_map {
 
   /// Read path: hash once, route on the top bits, and hand the same word
   /// to the shard table's find, whose bucket index takes the low bits
-  /// (its seqlock snapshot walk, falling back to the logged walk).
+  /// (one epoch-guarded lock-free walk).
   std::optional<V> find(K k) {
     const uint64_t h = shard_t::hash_of(k);
     return shards_[shard_index(h)]->find(k, h);

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "flock/flock.hpp"
@@ -48,7 +49,9 @@ inline bool prefill_selects(uint64_t k) {
 }
 
 /// Prefill with ~half the keys of [1, range] using all hardware threads
-/// (the half is the deterministic subset prefill_selects(k)).
+/// (the half is the deterministic subset prefill_selects(k)). Each thread
+/// inserts its stripe in a seeded random order (Fisher–Yates): ascending
+/// inserts would grow an unbalanced tree into a near-degenerate chain.
 template <class Set>
 void prefill_half(Set& set, uint64_t range, int threads = 0) {
   if (threads <= 0)
@@ -56,10 +59,14 @@ void prefill_half(Set& set, uint64_t range, int threads = 0) {
   std::vector<std::thread> ts;
   for (int t = 0; t < threads; t++) {
     ts.emplace_back([&, t] {
+      std::vector<uint64_t> keys;
       for (uint64_t k = 1 + static_cast<uint64_t>(t); k <= range;
-           k += static_cast<uint64_t>(threads)) {
-        if (prefill_selects(k)) set.insert(k, k);
-      }
+           k += static_cast<uint64_t>(threads))
+        if (prefill_selects(k)) keys.push_back(k);
+      rng64 r(splitmix64(static_cast<uint64_t>(t) + 1));
+      for (std::size_t i = keys.size(); i > 1; i--)
+        std::swap(keys[i - 1], keys[r.next(i)]);
+      for (uint64_t k : keys) set.insert(k, k);
     });
   }
   for (auto& th : ts) th.join();

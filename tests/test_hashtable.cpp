@@ -42,38 +42,16 @@ TEST_P(HashtableTest, ChainsStaySorted) {
   EXPECT_GE(s.underlying().bucket_count(), 4096u);
 }
 
-// Regression: a trivially-copyable payload with NO default constructor
-// compiled with the pre-fast-path find() and must keep compiling. The
-// seqlock fast path default-constructs its snapshot slot, so such a type must be routed off the fast path by the
-// kSeqlockReads gate — not fail to instantiate.
+// A payload with no default constructor: the one read walk returns the
+// node's value by copy and never default-constructs a V.
 struct no_default_v {
   uint64_t a;
   explicit no_default_v(uint64_t x) : a(x) {}
   bool operator==(const no_default_v& o) const { return a == o.a; }
 };
-static_assert(std::is_trivially_copyable_v<no_default_v>);
 static_assert(!std::is_default_constructible_v<no_default_v>);
-static_assert(!flock_ds::hashtable<uint64_t, no_default_v>::kSeqlockReads,
-              "non-default-constructible payloads must take the slow path");
-// The gate requires TRIVIAL default construction: the fast-path node
-// constructor leaves k/v default-initialized and then atomic_ref-stores
-// them, which is only race-free if the default-init writes nothing. A
-// default member initializer makes default construction non-trivial, so
-// this type must take the slow path even though it default-constructs.
-struct nontrivial_default_v {
-  uint64_t a = 1;
-  bool operator==(const nontrivial_default_v& o) const { return a == o.a; }
-};
-static_assert(std::is_trivially_copyable_v<nontrivial_default_v>);
-static_assert(std::is_default_constructible_v<nontrivial_default_v> &&
-              !std::is_trivially_default_constructible_v<nontrivial_default_v>);
-static_assert(
-    !flock_ds::hashtable<uint64_t, nontrivial_default_v>::kSeqlockReads,
-    "non-trivially-default-constructible payloads must take the slow path");
-static_assert(flock_ds::hashtable<uint64_t, uint64_t>::kSeqlockReads,
-              "plain word payloads must keep the fast path");
 
-TEST_P(HashtableTest, NonDefaultConstructiblePayloadUsesSlowPath) {
+TEST_P(HashtableTest, NonDefaultConstructiblePayloadRoundTrips) {
   flock_ds::hashtable<uint64_t, no_default_v> ht(64);
   for (uint64_t k = 1; k <= 200; k++)
     EXPECT_TRUE(ht.insert(k, no_default_v{k * 10}));

@@ -172,10 +172,10 @@ void f(std::atomic<int>& x) {
 }
 
 TEST(LintR3, CoversRuntimeStructureStoreLayers) {
-  // The justification discipline follows the weak orders: since the
-  // optimistic read path put seqlock version words in src/ds/ and cached
-  // version snapshots in src/store/, those trees are covered too. Code
-  // outside the three layers (benches, tests, tools) stays exempt.
+  // The justification discipline follows the weak orders: the container
+  // and store tiers (migration publication, resize counters) are covered
+  // like the runtime. Code outside the three layers (benches, tests,
+  // tools) stays exempt.
   const std::string src = R"lint(
 void f(std::atomic<int>& x) { x.store(1, std::memory_order_relaxed); }
 )lint";
@@ -253,6 +253,33 @@ void c() { chaos::arm("mut.fake.pre", chaos::fault::stall); }
   }
   EXPECT_TRUE(ill_formed);
   EXPECT_TRUE(sched_only);
+}
+
+// The name grammar's edges, `[a-z][a-z0-9_]*(\.[a-z0-9_]+)+`, each
+// through the rule itself.
+bool flagged_ill_formed(const std::string& name) {
+  for (const finding& x :
+       lint_one("src/flock/fixture.hpp",
+                "void a() { FLOCK_FAULTPOINT(\"" + name + "\"); }\n", {"R4"}))
+    if (x.message.find("not well-formed") != std::string::npos) return true;
+  return false;
+}
+
+TEST(LintR4, NameGrammarEdges) {
+  for (const char* ok : {"lock.install.post", "a.b", "ht.grow.pre_publish",
+                         "x9_.0", "mut.cas.pre"})
+    EXPECT_FALSE(flagged_ill_formed(ok)) << ok;
+  for (const char* bad : {"",              // empty
+                          "lock",          // single segment
+                          "lock.",         // trailing dot
+                          "lock..post",    // empty middle segment
+                          ".lock.post",    // empty first segment
+                          "1ock.post",     // leading digit
+                          "_lock.post",    // leading underscore
+                          "Lock.post",     // uppercase first letter
+                          "lock.Post",     // uppercase later segment
+                          "lock-x.post"})  // character outside the set
+    EXPECT_TRUE(flagged_ill_formed(bad)) << '"' << bad << '"';
 }
 
 TEST(LintR4, FlagsMultiFileDeclarationButAllowsSameFileRepeats) {

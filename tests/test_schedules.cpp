@@ -378,10 +378,14 @@ sched::run_options grow_filter() {
   sched::run_options o;
   // Migration publication windows + the write_once publication yield
   // point (forwarded flags) + root swing/retire + the resize-trigger
-  // allocation. Lock/epoch/alloc internals stay unscheduled: they are
-  // exhaustively covered by the trylock scenario, and pool/seal arrivals
-  // depend on cross-run state.
-  o.point_prefixes = {"ht.", "wo.publish"};
+  // allocation, plus one entry and one exit window per bucket critical
+  // section (descriptor installed; done published, unlock pending), so
+  // every update and migration unit interleaves with the others. The rest
+  // of the lock protocol and the epoch/alloc internals stay unscheduled:
+  // they are exhaustively covered by the trylock scenario, and pool/seal
+  // arrivals depend on cross-run state.
+  o.point_prefixes = {"ht.", "wo.publish", "lock.install.post",
+                      "lock.handoff.pre_unlock"};
   return o;
 }
 
@@ -460,19 +464,17 @@ TEST_F(ScheduleTest, GrowAllocFailDeferralComposedWithSchedules) {
            std::to_string(st->ht->size());
   };
   sched::explore_options o;
-  // Before the re-install the workers' plain bucket ops cross no ht.*
-  // yield points (they would need "lock." in the filter), so the
-  // schedule space is narrow; bound 2 still explores it in milliseconds.
+  // Before the re-install the workers' plain bucket ops cross only the
+  // critical-section entry/exit windows of grow_filter.
   o.preemption_bound = 2;
   o.run = grow_filter();
   o.failure_check = test_failed;
   sched::explore_stats stats = sched::explore(sc, o);
   EXPECT_FALSE(stats.truncated);
   EXPECT_FALSE(stats.nondeterminism);
-  // The space is legitimately narrow — each worker crosses exactly one
-  // pre-install yield (its own resize-trigger tick), so the enumeration
-  // covers both tick orders plus the duplicate-install/hint-damping
-  // races between them. 6 schedules at bound 2 as of this writing.
+  // The enumeration covers both workers' tick orders, the
+  // duplicate-install/hint-damping races between them and the migration
+  // they start. 2252 schedules at bound 2 as of this writing.
   EXPECT_GE(stats.schedules_at_max_bound, 5u);
   chaos::reset();
   if (::testing::Test::HasFailure())
@@ -715,18 +717,17 @@ TEST_F(ScheduleTest, SeededWalkSweepOverGrowScenario) {
   }
 }
 
-// --- scenario: optimistic validated reads (bucket seqlock) -------------------
+// --- scenario: plain reads vs payload writes ---------------------------------
 //
-// The PR-9 read path added reader-side windows (ht.read.post_v1 /
-// ht.read.pre_validate: snapshot begun / loads done but unvalidated) and
-// writer-side windows (ht.ver.post_enter / ht.ver.pre_exit: entry counter
-// ahead before and after the critical section). These scenarios enumerate a
-// validated reader against a writer replacing the same key's payload
-// (remove + re-insert — the write API's payload mutation) and against the
-// migration engine's forwards, in BOTH lock modes, asserting on every
-// schedule that a read returns only a linearizable value — the old
-// payload, the new payload, or a miss while the key is legally absent —
-// never a torn or resurrected one.
+// find() is one epoch-guarded lock-free walk with one reader-side window
+// (ht.read.post_flag: forwarded flag read, chain walk not yet begun). These
+// scenarios enumerate that window, interleaved with the writer's chain
+// stores (mut.cas.pre) and flag publications (wo.publish), against a
+// writer replacing the same key's payload (remove + re-insert — the write
+// API's payload mutation) and against the migration engine's forwards, in
+// BOTH lock modes, asserting on every schedule that a read returns only a
+// linearizable value — the old payload, the new payload, or a miss while
+// the key is legally absent — never a torn or resurrected one.
 struct vread_state {
   std::unique_ptr<flock_ds::hashtable<long, long>> ht;
   std::optional<long> r1, r2;
@@ -736,11 +737,9 @@ std::string opt_str(const std::optional<long>& r) {
   return r.has_value() ? std::to_string(*r) : std::string("miss");
 }
 
-sched::scenario make_validated_read_scenario(bool blocking,
-                                             std::shared_ptr<vread_state> st,
-                                             const char* name) {
-  static_assert(flock_ds::hashtable<long, long>::kSeqlockReads,
-                "long/long payloads must take the seqlock fast path");
+sched::scenario make_plain_read_scenario(bool blocking,
+                                         std::shared_ptr<vread_state> st,
+                                         const char* name) {
   sched::scenario sc;
   sc.name = name;
   sc.setup = [st, blocking] {
@@ -749,18 +748,18 @@ sched::scenario make_validated_read_scenario(bool blocking,
     st->r1.reset();
     st->r2.reset();
     // 8 keys in a 64-bucket table: far below the grow threshold, so the
-    // only version traffic is the writer thread's.
+    // only chain traffic is the writer thread's.
     st->ht = std::make_unique<flock_ds::hashtable<long, long>>(64);
     for (long k = 1; k <= 8; k++) st->ht->insert(k, k * 100);
   };
   // Writer: replace key 5's payload. Between its two ops the key is
-  // legally absent; each op brackets the bucket with version bumps.
+  // legally absent.
   sc.threads.push_back([st] {
     EXPECT_TRUE(st->ht->remove(5));
     EXPECT_TRUE(st->ht->insert(5, 501));
   });
-  // Reader: two validated reads of the contended key, then one of an
-  // undisturbed sibling (same table, different bucket — never invalidated).
+  // Reader: two reads of the contended key, then one of an undisturbed
+  // sibling (same table, different bucket).
   sc.threads.push_back([st] {
     st->r1 = st->ht->find(5);
     st->r2 = st->ht->find(5);
@@ -800,16 +799,17 @@ sched::scenario make_validated_read_scenario(bool blocking,
 
 sched::run_options vread_filter() {
   sched::run_options o;
-  // Only the new read/version windows: the lock protocol's own schedule
-  // space is covered exhaustively by the trylock scenarios.
-  o.point_prefixes = {"ht.read.", "ht.ver."};
+  // The read window plus the writer's chain stores and flag publications:
+  // the lock protocol's own schedule space is covered exhaustively by the
+  // trylock scenarios.
+  o.point_prefixes = {"ht.read.", "mut.cas.pre", "wo.publish"};
   return o;
 }
 
-TEST_F(ScheduleTest, ValidatedReadVsPayloadWriteExhaustiveBothModes) {
+TEST_F(ScheduleTest, PlainReadVsPayloadWriteExhaustiveBothModes) {
   for (bool blocking : {false, true}) {
     auto st = std::make_shared<vread_state>();
-    sched::scenario sc = make_validated_read_scenario(
+    sched::scenario sc = make_plain_read_scenario(
         blocking, st,
         blocking ? "vread_write_blocking" : "vread_write_lockfree");
     sched::explore_options o;
@@ -828,24 +828,26 @@ TEST_F(ScheduleTest, ValidatedReadVsPayloadWriteExhaustiveBothModes) {
   }
 }
 
-// Kills composed with the read/version windows. The interesting victim is
-// a writer dead at ht.ver.post_enter: the bucket's ver_enter stays ahead
-// of ver_exit forever (until revival), so every fast-path read of that
-// bucket must fall back to the logged walk — and still return only
-// linearizable values. Reader kills check the other direction: a dead
-// reader's revived replay is harmless. Assertions are identical; revival
-// drains the victim before on_final, so the exact final state must also
-// converge.
-TEST_F(ScheduleTest, ValidatedReadStuckCounterWithKills) {
+// Kills composed with the read window and the writer's critical section.
+// The interesting victim is a writer dead inside its critical section —
+// parked after installing its descriptor (lock.*) or before one of its
+// chain stores (mut.cas.pre) — holding the bucket lock. The reader never
+// locks and never helps, so it must neither wait on the dead holder nor
+// see a half-applied update: every read still returns only linearizable
+// values. Reader kills check the other direction: a dead reader's revived
+// replay is harmless. Assertions are identical; revival drains the victim
+// before on_final, so the exact final state must also converge.
+TEST_F(ScheduleTest, PlainReadDeadWriterWithKills) {
   for (bool blocking : {false, true}) {
     auto st = std::make_shared<vread_state>();
-    sched::scenario sc = make_validated_read_scenario(
+    sched::scenario sc = make_plain_read_scenario(
         blocking, st,
         blocking ? "vread_kills_blocking" : "vread_kills_lockfree");
     sched::explore_options o;
     o.preemption_bound = 1;
     o.kill_bound = 1;
     o.run = vread_filter();
+    o.run.point_prefixes.push_back("lock.");
     o.failure_check = test_failed;
     sched::explore_stats stats = sched::explore(sc, o);
     EXPECT_FALSE(stats.truncated) << sc.name;
@@ -859,16 +861,19 @@ TEST_F(ScheduleTest, ValidatedReadStuckCounterWithKills) {
   }
 }
 
-// --- scenario: validated read vs migration forward ---------------------------
+// --- scenario: plain read vs migration forward -------------------------------
 //
 // A reader races the migration engine: the 64->128 grow is pre-installed
 // (as in the grow scenarios) and the writer's insert migrates units,
-// forwarding source buckets. The contended read targets key 55, resident
-// since before the resize: the fast path must either snapshot it from a
-// still-live source bucket (counters balanced, not forwarded) or detect the
-// forward/bump and fall back — in EVERY interleaving of the reader's
-// windows with copy publication and forwarded-flag publication, find(55)
-// returns exactly 55.
+// forwarding source buckets. The reads target keys resident since before
+// the resize whose source buckets this insert migrates: key 43 shares
+// old bucket 8 with key 1000 (the writer's own unit, migrated first), and
+// key 6 sits in old bucket 0..7 (the chunk it helps next). The walk either
+// reads a source bucket not yet forwarded (whose chain stays frozen even
+// if the unit completes under the walk) or sees the forwarded flag and
+// chases the successor, whose chains were published before that flag — in
+// EVERY interleaving of the reader's window with copy publication and
+// forwarded-flag publication, both reads return exactly their key.
 struct vread_mig_state {
   std::unique_ptr<flock_ds::hashtable<long, long>> ht;
   std::optional<long> r1, r2;
@@ -886,20 +891,25 @@ sched::scenario make_vread_migration_scenario(
     st->ht = std::make_unique<flock_ds::hashtable<long, long>>(64);
     for (long k = 0; k < 64; k++) st->ht->insert(k, k);
     ASSERT_EQ(st->ht->bucket_count(), 128u);  // successor installed
+    // The read targets sit in the units the writer's insert migrates.
+    auto unit = [](long k) {
+      return flock_ds::hashtable<long, long>::hash_of(k) & 63;
+    };
+    ASSERT_EQ(unit(43), unit(1000));
+    ASSERT_LT(unit(6), 8u);
   };
   sc.threads.push_back([st] {
     // Drives the migration: own unit plus a claimed batch, each unit
-    // bracketed by source-bucket version bumps and ending in forwarded
-    // write_once flags.
+    // copying its chain and ending in a forwarded write_once flag.
     EXPECT_TRUE(st->ht->insert(1000, 1));
   });
   sc.threads.push_back([st] {
-    st->r1 = st->ht->find(55);
-    st->r2 = st->ht->find(55);
+    st->r1 = st->ht->find(43);
+    st->r2 = st->ht->find(6);
   });
   sc.on_final = [st](const sched::run_report& rep) {
-    EXPECT_EQ(st->r1, std::optional<long>(55)) << rep.schedule_string();
-    EXPECT_EQ(st->r2, std::optional<long>(55)) << rep.schedule_string();
+    EXPECT_EQ(st->r1, std::optional<long>(43)) << rep.schedule_string();
+    EXPECT_EQ(st->r2, std::optional<long>(6)) << rep.schedule_string();
     // Drain the in-flight migration, then exact final state (the churn
     // pairs cannot re-trigger the policy: 96 < 128).
     const long scratch = 1 << 20;
@@ -924,7 +934,7 @@ sched::scenario make_vread_migration_scenario(
   return sc;
 }
 
-TEST_F(ScheduleTest, ValidatedReadVsMigrationForwardExhaustiveBothModes) {
+TEST_F(ScheduleTest, PlainReadVsMigrationForwardExhaustiveBothModes) {
   for (bool blocking : {false, true}) {
     auto st = std::make_shared<vread_mig_state>();
     sched::scenario sc = make_vread_migration_scenario(
@@ -932,11 +942,10 @@ TEST_F(ScheduleTest, ValidatedReadVsMigrationForwardExhaustiveBothModes) {
         blocking ? "vread_migration_blocking" : "vread_migration_lockfree");
     sched::explore_options o;
     o.preemption_bound = 1;
-    sched::run_options ro;
-    // Reader windows vs. the migration's publication points: version
-    // brackets, split-copy publication, forwarded write_once flags.
-    ro.point_prefixes = {"ht.read.", "ht.ver.", "ht.grow.", "wo.publish"};
-    o.run = ro;
+    // The read window vs. the migration's publication points: split-copy
+    // stores, the pre-publish window, forwarded write_once flags.
+    o.run = vread_filter();
+    o.run.point_prefixes.push_back("ht.grow.");
     o.failure_check = test_failed;
     sched::explore_stats stats = sched::explore(sc, o);
     EXPECT_FALSE(stats.truncated) << sc.name;
@@ -953,12 +962,11 @@ TEST_F(ScheduleTest, ValidatedReadVsMigrationForwardExhaustiveBothModes) {
 // --- scenario: store reads are monotone under a writer ----------------------
 //
 // The sharded_map read path routes on the hash and runs the shard table's
-// seqlock snapshot walk, falling back to the logged walk when the bucket
-// counters move. Three reads of one key on one thread, racing a writer's
-// remove + re-insert, may only move forward through the writer's program
-// order: a validated snapshot must never return a state older than one a
-// previous read (fast or logged) already observed. Asserted on every
-// schedule in both lock modes.
+// epoch-guarded walk. Three reads of one key on one thread, racing a
+// writer's remove + re-insert, may only move forward through the writer's
+// program order: a read must never return a state older than one a
+// previous read already observed. Asserted on every schedule in both lock
+// modes.
 struct store_read_state {
   std::unique_ptr<flock_store::sharded_map<long, long, false>> sm;
   std::optional<long> r1, r2, r3;
@@ -997,7 +1005,7 @@ sched::scenario make_store_read_scenario(bool blocking,
       EXPECT_TRUE(!r->has_value() || **r == 500 || **r == 501)
           << opt_str(*r) << " " << rep.schedule_string();
       // Writer program order is 500 -> miss -> 501; reads of one thread
-      // may only move forward through it. A stale snapshot after an
+      // may only move forward through it. A stale read after an
       // earlier read saw a later state would break exactly this.
       int stage = !r->has_value() ? 1 : (**r == 501 ? 2 : 0);
       EXPECT_GE(stage, seen) << "non-monotone reads: " << opt_str(st->r1)

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -123,6 +124,20 @@ TEST(Prefill, BucketOccupancyNearUniform) {
   double empty_frac =
       static_cast<double>(empty) / static_cast<double>(occ.size());
   EXPECT_LT(empty_frac, 0.65);
+  flock::epoch_manager::instance().flush();
+}
+
+TEST(Prefill, LeaftreeStaysShallow) {
+  // Each thread inserts its stripe in a shuffled order, so an unbalanced
+  // tree grows like a random BST (expected height ~4.3 ln n) instead of
+  // the chain that ascending stripes build.
+  flock_workload::leaftree_try s;
+  flock_workload::prefill_half(s, 40000, 4);
+  const std::size_t n = s.size();
+  ASSERT_GT(n, 19000u);
+  EXPECT_LE(static_cast<double>(s.underlying().max_depth()),
+            4 * std::log2(static_cast<double>(n)));
+  EXPECT_TRUE(s.check_invariants());
   flock::epoch_manager::instance().flush();
 }
 

@@ -23,7 +23,6 @@
 
 #include <algorithm>
 #include <map>
-#include <regex>
 #include <set>
 #include <string>
 #include <vector>
@@ -81,8 +80,7 @@ struct lint_config {
   std::set<std::string> entry_points = default_entry_points();
   // R3 applies only to files whose path contains one of these substrings:
   // the runtime layer plus the container and store tiers, where orderings
-  // (lock words, migration publication, seqlock version words) are
-  // load-bearing.
+  // (lock words, migration publication, resize counters) are load-bearing.
   std::vector<std::string> r3_path_substrs = {"src/flock/", "src/ds/",
                                               "src/store/"};
   // Empty = run all rules; else run only these ids.
@@ -323,11 +321,30 @@ inline std::string unquote(const std::string& s) {
   return s;
 }
 
+/// R4's name grammar, `[a-z][a-z0-9_]*(\.[a-z0-9_]+)+`: at least two
+/// non-empty dot-separated segments of [a-z0-9_], the first opening with
+/// a lower-case letter.
+inline bool well_formed_point_name(const std::string& s) {
+  if (s.empty() || s[0] < 'a' || s[0] > 'z') return false;
+  std::size_t dots = 0, seg = 0;  // seg: length of the current segment
+  for (char ch : s) {
+    if (ch == '.') {
+      if (seg == 0) return false;
+      dots++;
+      seg = 0;
+    } else if ((ch >= 'a' && ch <= 'z') || (ch >= '0' && ch <= '9') ||
+               ch == '_') {
+      seg++;
+    } else {
+      return false;
+    }
+  }
+  return dots > 0 && seg > 0;
+}
+
 inline void run_r4(const std::vector<source_file>& files,
                    const std::vector<std::vector<token>>& toks,
                    std::vector<finding>& out) {
-  static const std::regex well_formed(
-      "[a-z][a-z0-9_]*(\\.[a-z0-9_]+)+");
   // name -> declarations (a name may legitimately mark the same protocol
   // window at several sites in ONE file, e.g. lock.install.post).
   std::map<std::string, std::vector<point_decl>> decls;
@@ -354,7 +371,7 @@ inline void run_r4(const std::vector<source_file>& files,
         continue;  // macro definition site or a variable name — skip
       std::string name = unquote(t[arg].text);
       if (is_point) {
-        if (!std::regex_match(name, well_formed))
+        if (!well_formed_point_name(name))
           out.push_back({"R4", files[fi].path, t[k].line,
                          "fault point name \"" + name +
                              "\" is not well-formed (want dotted lower-case "
