@@ -43,7 +43,10 @@
 //    marks the old bucket(s) "forwarded" (their write_once flags), and
 //    only then retires the originals, which new readers can no longer
 //    reach. Every step is idempotent, so helpers can replay the thunk
-//    safely.
+//    safely. The source chains are frozen while the unit holds their
+//    locks and forever after, so the unit logs only its flag checks
+//    (paper §6, constants): it walks the chains unlogged and retires
+//    each one under a single log slot.
 //  * Updaters re-validate the forwarded flag inside their own critical
 //    section (same lock), so a forwarded bucket is frozen forever; any
 //    operation that lands on one chases `table->next`. Updaters that
@@ -546,17 +549,16 @@ class hashtable {
     tl = copy;
   }
 
-  /// Retire a forwarded bucket's frozen chain. Only once the forwarded
-  /// flag is set: until then a reader that enters a later epoch can still
-  /// walk into the chain, and an earlier retire would let reclamation
-  /// free nodes under that walk (the unlink-then-retire order every
-  /// other retire in the table follows).
+  /// Retire a forwarded bucket's frozen chain, under one log slot: the
+  /// run that commits it retires every node, walking the chain unlogged
+  /// (it is frozen, see migrate_unit_grow). Only once the forwarded flag
+  /// is set: until then a reader that enters a later epoch can still walk
+  /// into the chain, and an earlier retire would let reclamation free
+  /// nodes under that walk (the unlink-then-retire order every other
+  /// retire in the table follows).
   static void retire_chain(const bucket* s) {
-    for (node* c = s->next.load(); c != nullptr;) {
-      node* nxt = c->next.load();
-      flock::retire<node>(c);
-      c = nxt;
-    }
+    flock::idem_retire_list(s->next.read_raw(),
+                            [](node* c) { return c->next.read_raw(); });
   }
 
   /// Migrate unit u of the t -> nt resize. Returns after the unit's old
@@ -578,16 +580,23 @@ class hashtable {
     const uint64_t bit = t->nbuckets();  // hash bit the split keys on
     bool did = acquire(s->lck, [=] {
       if (s->removed.load()) return false;  // lost the race
-      // The chain is frozen: every update to this bucket takes this same
-      // lock. Logged loads keep replays of this thunk in lockstep, and
-      // idempotent allocation/stores/retires make helper replays safe.
+      // The flag load above is the one read whose value runs of this
+      // thunk can disagree on, so it is the only read logged here (the
+      // link stores still log their expected values). The chain is frozen
+      // from the moment this thunk's descriptor is installed on s->lck,
+      // and forever after: every update to the bucket takes this same
+      // lock and re-checks the flag under it, and the flag is set below,
+      // before the unlock. So every run, however late, walks the same
+      // nodes and the walk reads them unlogged (paper §6, constants).
+      // Allocation and the link stores stay idempotent, so helper
+      // replays are safe.
       // Copies are appended directly onto the successor buckets (the
       // forward walk preserves sorted order, no side buffers): nothing
       // can observe those chains until the forwarded flag below is set,
       // because each successor bucket has exactly one source bucket and
       // traffic to it only begins at that source's flag.
       chain_head* tail[2] = {lo, hi};
-      for (node* c = s->next.load(); c != nullptr; c = c->next.load())
+      for (node* c = s->next.read_raw(); c != nullptr; c = c->next.read_raw())
         append_copy(tail[(hash_of(c->k) & bit) ? 1 : 0], c);
       // Protocol window: copies live, forwarded flag not yet published. A
       // kill here is the paper's dead-holder scenario mid-migration —
@@ -629,16 +638,22 @@ class hashtable {
       if (lo->removed.load()) return false;  // lost the race
       return acquire(hi->lck, [=] {
         if (hi->removed.load()) return false;  // cannot happen alone; belt
-        // Both chains are frozen under their locks. They hold disjoint
-        // keys (different old-bucket residues of the same hash), all of
-        // which land in dst, so a standard sorted merge preserves the
-        // chain invariant. head/tail are plain locals — deterministic
-        // across helper replays because the logged loads fix the walk and
-        // idempotent allocation fixes the copy identities — so the only
-        // logged stores link shared copy nodes through their unpublished
-        // next fields.
-        node* a = lo->next.load();
-        node* b = hi->next.load();
+        // Both chains are frozen, as in a grow unit: constant from the
+        // moment each lock holds this unit's descriptor, and forever after
+        // (both flags are set below, before either unlock). The inner
+        // thunk runs only once hi->lck is installed — a failed inner
+        // acquisition never installs and never walks — so every run
+        // walks the same nodes and reads them unlogged; only the two flag
+        // loads are logged. The chains hold disjoint keys (different
+        // old-bucket residues of the same hash), all of which land in
+        // dst, so a standard sorted merge preserves the chain invariant.
+        // head/tail are plain locals — deterministic across helper
+        // replays because the frozen chains fix the walk and idempotent
+        // allocation fixes the copy identities — so the only logged
+        // stores link shared copy nodes through their unpublished next
+        // fields.
+        node* a = lo->next.read_raw();
+        node* b = hi->next.read_raw();
         node* head = nullptr;
         node* tail = nullptr;
         auto take = [&](node*& src) {
@@ -648,7 +663,7 @@ class hashtable {
           else
             tail->next = copy;
           tail = copy;
-          src = src->next.load();
+          src = src->next.read_raw();
         };
         while (a != nullptr || b != nullptr) {
           if (b == nullptr || (a != nullptr && a->k < b->k))

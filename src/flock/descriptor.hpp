@@ -26,7 +26,10 @@ struct descriptor {
   log_block head;                   // first log block, embedded
   std::atomic<bool> done{false};    // update-once; loads of it are logged
   std::atomic<bool> helped{false};  // §6 reuse optimization (see lock.hpp)
-  int64_t epoch = -1;               // creator's announced epoch
+  // Creator's announced epoch. Atomic because help() reads it from a
+  // descriptor that may already be recycled and re-stamped (lock.hpp);
+  // relaxed on both sides, see create_descriptor_ctx.
+  std::atomic<int64_t> epoch{-1};
   thunk fn;
 #ifdef FLOCK_DEBUG_API
   // The descriptor whose thunk was running when this one was created —
@@ -46,7 +49,12 @@ struct descriptor {
   // retire_logged). Sits in the tail padding: sizeof is unchanged.
   descriptor* deferred_next = nullptr;
 
-  descriptor() = default;
+  // User-provided on purpose: a defaulted constructor would make
+  // pool_new_ctx's `new (mem) descriptor()` value-initialize, zero-filling
+  // all 256 bytes (the 104-byte thunk buffer included, which emplace
+  // overwrites anyway) before the member initializers run. Every member
+  // has its own initializer, so this leaves only the buffer untouched.
+  descriptor() {}
   descriptor(const descriptor&) = delete;
   descriptor& operator=(const descriptor&) = delete;
 
@@ -87,6 +95,8 @@ struct descriptor {
 
   bool run() { return run(detail::my_ctx()); }
 };
+// Four cache lines: the pool's size class for descriptors.
+static_assert(sizeof(descriptor) == 4 * kCacheLine);
 
 namespace detail {
 
@@ -108,7 +118,11 @@ descriptor* create_descriptor_ctx(thread_context* c, F&& f) {
   // mo: relaxed — reading our OWN announcement slot (single writer is
   // this thread); only the value matters, not ordering with other slots.
   int64_t e = c->announced.load(std::memory_order_relaxed);
-  mine->epoch = e >= 0 ? e : epoch_manager::instance().current_epoch();
+  // mo: relaxed — the stamp needs no ordering of its own: the lock-word
+  // CAS that installs this descriptor publishes it, and help() reads it
+  // only after the acquire load of that word.
+  mine->epoch.store(e >= 0 ? e : epoch_manager::instance().current_epoch(),
+                    std::memory_order_relaxed);
   auto [committed, first] =
       commit_raw_ctx<Ccas>(c, reinterpret_cast<uint64_t>(mine));
   if (first) return mine;

@@ -273,7 +273,10 @@ inline void help(thread_context* c, lock_word& st, uint64_t cur_packed) {
   // passes, the creator was still announced at d->epoch when we re-read,
   // so everything the thunk can reach is protected from then on by *our*
   // lowered announcement (see epoch.hpp).
-  int64_t prev = g_epoch.adopt_ctx(c, d->epoch);
+  // mo: relaxed — the acquire read of the lock word that named d orders
+  // the creator's stamp; a recycled d's value fails the revalidation.
+  int64_t prev =
+      g_epoch.adopt_ctx(c, d->epoch.load(std::memory_order_relaxed));
   if (st.read_raw_packed_sc() == cur_packed) {
     c->stat_ran++;
     // Chaos window: helper validated and adopted, about to run the thunk

@@ -184,4 +184,23 @@ void idem_retire(T* obj) {
   if (first) detail::epoch_retire_ctx(c, obj);
 }
 
+/// Idempotent retirement of a whole list under ONE log slot: the run that
+/// commits the flag retires every node from `head` on, following
+/// `next(node)` with unlogged reads. Only for a list that is constant for
+/// every run of the thunk (e.g. a chain frozen by a flag set under the
+/// thunk's lock), so the committing run walks exactly what any other run
+/// would have.
+template <class T, class Next>
+void idem_retire_list(T* head, Next next) {
+  detail::thread_context* c = detail::my_ctx();
+  bool first = use_ccas() ? detail::commit_raw_ctx<true>(c, 1).second
+                          : detail::commit_raw_ctx<false>(c, 1).second;
+  if (!first) return;
+  while (head != nullptr) {
+    T* nxt = next(head);
+    detail::epoch_retire_ctx(c, head);
+    head = nxt;
+  }
+}
+
 }  // namespace flock

@@ -72,6 +72,80 @@ TEST_P(HashtableTest, StrictLockVariant) {
   set_test::concurrent_stress(s, 8, 300, 5000, 70);
 }
 
+// --- Log footprint of the migration units --------------------------------
+// Deterministic single-threaded runs counted with flock::tls_commit_count()
+// (slots committed inside thunks). A migration unit logs only the reads its
+// runs can disagree on — the forwarded-flag checks — plus its allocations,
+// link stores and ONE retire slot per frozen chain; the frozen source
+// chains are walked unlogged. Blocking mode runs the same thunks with no
+// log, so every count there is 0.
+
+using log_ht = flock_ds::hashtable<uint64_t, uint64_t>;
+
+// Removing an absent key runs no thunk of its own: locate_update migrates
+// the key's unit and one claimed chunk, then the search misses. Enough such
+// calls drain a resize, so the commits they make are migration-only.
+uint64_t drain_commits(log_ht& ht) {
+  const uint64_t c0 = flock::tls_commit_count();
+  for (uint64_t i = 0; i < 16; i++) EXPECT_FALSE(ht.remove(1'000'000 + i));
+  return flock::tls_commit_count() - c0;
+}
+
+TEST_P(HashtableTest, GrowUnitLogsTwoSlotsPlusTwoPerNode) {
+  log_ht ht(64);
+  // The 64th insert reaches load factor 1 on a policy tick: a 128-bucket
+  // successor is installed, nothing migrated yet.
+  for (uint64_t k = 1; k <= 64; k++) ASSERT_TRUE(ht.insert(k, k));
+  ASSERT_EQ(ht.grow_count(), 1u);
+  ASSERT_EQ(ht.bucket_count(), 128u);
+  // Per unit over an n-node chain: the flag load, one allocation and one
+  // link-store load per node, one retire slot for the chain = 2 + 2n.
+  // Summed over 64 units holding 64 nodes: 2*64 + 2*64, whatever the
+  // chain lengths.
+  EXPECT_EQ(drain_commits(ht), GetParam() ? 0u : 2u * 64 + 2u * 64);
+  EXPECT_EQ(ht.size(), 64u);
+  EXPECT_TRUE(ht.check_invariants());
+}
+
+TEST_P(HashtableTest, ShrinkUnitLogFootprint) {
+  log_ht ht(64);
+  for (uint64_t k = 1; k <= 64; k++) ASSERT_TRUE(ht.insert(k, k));
+  drain_commits(ht);  // finish the grow to 128 buckets
+  ASSERT_EQ(ht.bucket_count(), 128u);
+  uint64_t k = 1;
+  while (ht.shrink_count() == 0) ASSERT_TRUE(ht.remove(k++));
+  ASSERT_EQ(ht.bucket_count(), 64u);  // half-size successor installed
+  // Unit u merges the two old buckets whose keys land in successor bucket
+  // u; n_u is the number of keys that land there. Per unit: lo's flag
+  // load, the nested acquisition of hi's lock (5 slots of lo's log), hi's
+  // flag load, the publish store's load, one retire slot per source chain
+  // = 10; plus one allocation per node and one link-store load per node
+  // after the first.
+  std::size_t n[64] = {};
+  for (uint64_t j = k; j <= 64; j++) n[log_ht::hash_of(j) & 63]++;
+  uint64_t want = 0;
+  for (std::size_t nu : n) want += 10 + nu + (nu > 0 ? nu - 1 : 0);
+  EXPECT_EQ(drain_commits(ht), GetParam() ? 0u : want);
+  EXPECT_EQ(ht.size(), 64 - (k - 1));
+  EXPECT_TRUE(ht.check_invariants());
+}
+
+TEST_P(HashtableTest, GrowThenDrainCommitsPerOp) {
+  // 4096 keys into a 64-bucket table (7 grows), then all removed (7
+  // shrinks). Exact totals: 8.45 commits per insert, 31.01 per remove.
+  log_ht ht(64);
+  const uint64_t c0 = flock::tls_commit_count();
+  for (uint64_t k = 1; k <= 4096; k++) ASSERT_TRUE(ht.insert(k, k));
+  const uint64_t c1 = flock::tls_commit_count();
+  for (uint64_t k = 1; k <= 4096; k++) ASSERT_TRUE(ht.remove(k));
+  const uint64_t c2 = flock::tls_commit_count();
+  EXPECT_EQ(ht.grow_count(), 7u);
+  EXPECT_EQ(ht.shrink_count(), 7u);
+  EXPECT_EQ(c1 - c0, GetParam() ? 0u : 34625u);
+  EXPECT_EQ(c2 - c1, GetParam() ? 0u : 127017u);
+  EXPECT_EQ(ht.size(), 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Modes, HashtableTest, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& i) {
                            return i.param ? "blocking" : "lockfree";
