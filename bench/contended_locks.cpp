@@ -12,7 +12,7 @@
 //           where a blocking lock holder can be descheduled mid-critical-
 //           section but lock-free waiters can finish its work.
 //
-// Sweeps threads x {blocking, lock-free, lock-free+ccas} x {try, strict}
+// Sweeps threads x {blocking, lock-free} x {try, strict}
 // and emits one json_reporter series per point (default file
 // BENCH_contended.json; FLOCK_BENCH_JSON overrides), plus per-point
 // helping/backoff stat deltas on stderr so the help-throttle's effect is
@@ -56,21 +56,6 @@ struct alignas(2 * flock::kCacheLine) lock_slot {
   flock::lock lk;
   flock::mutable_<uint64_t>* ctr = nullptr;
 };
-
-enum class mode { blocking, lockfree, lockfree_ccas };
-
-const char* mode_name(mode m) {
-  switch (m) {
-    case mode::blocking: return "blocking";
-    case mode::lockfree: return "lockfree";
-    default: return "lockfree_ccas";
-  }
-}
-
-void set_mode(mode m) {
-  flock::set_blocking(m == mode::blocking);
-  flock::set_ccas(m != mode::lockfree);
-}
 
 struct point_result {
   double mops = 0;        // successful acquisitions per second (counter
@@ -169,8 +154,8 @@ void stat_delta(const flock::stats_snapshot& a,
 template <bool Strict>
 void sweep(bench::json_reporter& rep, const char* scenario, int nlocks,
            const std::vector<int>& thread_points) {
-  for (mode m : {mode::blocking, mode::lockfree, mode::lockfree_ccas}) {
-    set_mode(m);
+  for (bool blocking : {true, false}) {
+    flock::set_blocking(blocking);
     for (int t : thread_points) {
       auto slots = make_slots(nlocks);
       // zipf(0.99) over the array; a 1-entry array degenerates to "hot".
@@ -182,8 +167,9 @@ void sweep(bench::json_reporter& rep, const char* scenario, int nlocks,
       });
       auto after = flock::stats();
       std::string series = std::string(scenario) + "_" +
-                           (Strict ? "strict" : "try") + "_" + mode_name(m) +
-                           "_t" + std::to_string(t);
+                           (Strict ? "strict" : "try") + "_" +
+                           (blocking ? "blocking" : "lockfree") + "_t" +
+                           std::to_string(t);
       rep.add(series, r.mops);
       std::fprintf(stderr, "  %-36s %8.3f Mops acquired (%.3f calls)\n",
                    series.c_str(), r.mops, r.call_mops);
@@ -191,7 +177,6 @@ void sweep(bench::json_reporter& rep, const char* scenario, int nlocks,
       free_slots(slots);
     }
   }
-  flock::set_ccas(true);
   flock::set_blocking(false);
 }
 

@@ -3,9 +3,10 @@
 //  * descriptor allocation + try_lock cycle in both modes ("(1) allocating
 //    and initializing a new descriptor every time a lock is acquired"),
 //    single and 2-deep nested;
-//  * commitValue under contention with compare-and-compare-and-swap on
-//    vs off ("this rather simple change made a significant improvement...
-//    sometimes a factor of two or more");
+//  * commitValue under contention, 8 threads on one slot (every commit
+//    reads its slot first, compare-and-compare-and-swap: "this rather
+//    simple change made a significant improvement... sometimes a factor
+//    of two or more");
 //  * log entries per successful dlist insert/remove ("A successful
 //    insert commits about 5 entries to the log").
 #include <benchmark/benchmark.h>
@@ -155,7 +156,7 @@ void BM_descriptor_create_destroy(benchmark::State& state) {
 }
 BENCHMARK(BM_descriptor_create_destroy);
 
-// --- contended commits: compare-and-compare-and-swap ablation -------------
+// --- contended commits: compare-and-compare-and-swap ----------------------
 
 struct shared_log_fixture {
   flock::log_block* blk;
@@ -164,10 +165,8 @@ struct shared_log_fixture {
 shared_log_fixture g_fix;
 
 void BM_contended_commit(benchmark::State& state) {
-  if (state.thread_index() == 0) {
+  if (state.thread_index() == 0)
     g_fix.blk = flock::pool_new<flock::log_block>();
-    flock::set_ccas(state.range(0) != 0);
-  }
   for (auto _ : state) {
     // All threads commit to the same slot: exactly the helping-storm
     // pattern of §6.
@@ -175,16 +174,9 @@ void BM_contended_commit(benchmark::State& state) {
     benchmark::DoNotOptimize(flock::commit_value(state.thread_index() + 1));
   }
   flock::tls_log() = {};
-  if (state.thread_index() == 0) {
-    flock::set_ccas(true);
-    flock::pool_delete(g_fix.blk);
-  }
+  if (state.thread_index() == 0) flock::pool_delete(g_fix.blk);
 }
-BENCHMARK(BM_contended_commit)
-    ->Arg(0)
-    ->Arg(1)
-    ->Threads(8)
-    ->UseRealTime();
+BENCHMARK(BM_contended_commit)->Threads(8)->UseRealTime();
 
 // --- epoch machinery -------------------------------------------------------
 

@@ -1,5 +1,8 @@
 // config.hpp — build-time and run-time knobs shared by the whole library.
 //
+// Compare-and-compare-and-swap (§6 "Avoiding CASes") is not among them:
+// log commits and logged CASes always pre-check (log.hpp, mutable.hpp).
+//
 // Part of the Flock reproduction ("Lock-Free Locks Revisited", PPoPP 2022).
 #pragma once
 
@@ -58,22 +61,6 @@ class mode_guard {
  private:
   bool prev_;
 };
-
-// Compare-and-compare-and-swap toggle (paper §6 "Avoiding CASes").
-// On by default; the micro bench flips it off to measure the ablation.
-inline std::atomic<bool>& ccas_flag() noexcept {
-  static std::atomic<bool> flag{true};
-  return flag;
-}
-inline void set_ccas(bool b) noexcept {
-  // mo: relaxed — quiescent configuration knob, same contract as
-  // set_blocking above.
-  ccas_flag().store(b, std::memory_order_relaxed);
-}
-inline bool use_ccas() noexcept {
-  // mo: relaxed — see set_ccas.
-  return ccas_flag().load(std::memory_order_relaxed);
-}
 
 // --- contended-path backoff tunables (backoff.hpp / lock.hpp) --------------
 //

@@ -7,7 +7,9 @@
 // enclosing top-level acquisition judges the whole chain, see lock.hpp).
 //
 // The first log block (one cache line: 7 slots and the next pointer) is
-// embedded, so acquiring a lock costs exactly one pool allocation.
+// embedded, so acquiring a lock costs exactly one pool allocation. Inside
+// a thunk, creation is an idempotent allocation: each run builds a
+// candidate and commits its pointer to the enclosing log.
 #pragma once
 
 #include <atomic>
@@ -101,10 +103,10 @@ static_assert(sizeof(descriptor) == 4 * kCacheLine);
 namespace detail {
 
 /// Idempotent descriptor creation (Alg. 3 createDescriptor) with the
-/// caller's context and compile-time ccas: every run of the enclosing
-/// thunk builds a candidate; the first to commit wins and losers free
-/// theirs (they were never published).
-template <bool Ccas, class F>
+/// caller's context: every run of the enclosing thunk builds a candidate;
+/// the first to commit wins and losers free theirs (they were never
+/// published).
+template <class F>
 descriptor* create_descriptor_ctx(thread_context* c, F&& f) {
   c->stat_created++;
   descriptor* mine = pool_new_ctx<descriptor>(c);
@@ -124,7 +126,7 @@ descriptor* create_descriptor_ctx(thread_context* c, F&& f) {
   mine->epoch.store(e >= 0 ? e : epoch_manager::instance().current_epoch(),
                     std::memory_order_relaxed);
   auto [committed, first] =
-      commit_raw_ctx<Ccas>(c, reinterpret_cast<uint64_t>(mine));
+      commit_raw_ctx(c, reinterpret_cast<uint64_t>(mine));
   if (first) return mine;
   pool_delete_ctx(c, mine);
   return reinterpret_cast<descriptor*>(committed);
@@ -132,13 +134,10 @@ descriptor* create_descriptor_ctx(thread_context* c, F&& f) {
 
 }  // namespace detail
 
-/// Public spelling (one context fetch, one ccas-flag load).
+/// Public spelling (one context fetch).
 template <class F>
 descriptor* create_descriptor(F&& f) {
-  detail::thread_context* c = detail::my_ctx();
-  return use_ccas()
-             ? detail::create_descriptor_ctx<true>(c, std::forward<F>(f))
-             : detail::create_descriptor_ctx<false>(c, std::forward<F>(f));
+  return detail::create_descriptor_ctx(detail::my_ctx(), std::forward<F>(f));
 }
 
 }  // namespace flock

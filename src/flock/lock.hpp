@@ -7,11 +7,9 @@
 // descriptor at any time; idempotence (descriptor log) makes that safe.
 //
 // Hot-path structure: try_lock/strict_lock perform exactly one runtime
-// mode dispatch at entry — is_blocking() picks the blocking path, and the
-// helping path is instantiated for each value of the ccas flag — then run
-// with the thread context in a register and every mode choice a
-// compile-time constant. No TLS lookups and no shared-flag loads happen
-// inside the loops.
+// mode dispatch at entry — is_blocking() picks the blocking or the helping
+// path — then run with the thread context in a register. No TLS lookups
+// and no shared-flag loads happen inside the loops.
 //
 // Log-slot discipline (this is what keeps nested locks correct): every run
 // of an enclosing thunk must consume the *same* log slots in the same
@@ -23,10 +21,10 @@
 // word's tag is monotonic while any stale referencer exists (descriptor
 // reuse is epoch-gated, see retire paths below).
 //
-// The ccas flag is resolved once per acquisition, so a concurrent
-// set_ccas() may race with in-flight operations running the other
-// specialization; that is harmless — both commit protocols agree on the
-// log-slot contents, ccas only elides CASes that would fail.
+// Compare-and-compare-and-swap (§6 "Avoiding CASes"): log commits and
+// lock-word CASes re-read their word and skip a CAS that would fail. The
+// blocking CASes and the top-level install CASes, whose expected word was
+// read just before, skip that re-read (precheck = false).
 //
 // helped/reuse hand-off (§6 "This requires some careful synchronization"):
 //   helper:  helped.store(true) [seq_cst]; re-read lock word [seq_cst] ==
@@ -234,18 +232,17 @@ inline void dbg_check_unlock_blocking(thread_context* c,
 
 /// Effects-once unlock: flip (d|locked) -> (d|unlocked) if still current.
 /// Raw (no enclosing log slots); the tag makes repeats harmless.
-template <bool Ccas>
 inline void raw_unlock(thread_context* c, lock_word& st, descriptor* d) {
   // seq_cst read: if the CAS is skipped because someone else already
   // unlocked, this read is the owner's hand-off access (see header).
   uint64_t p = st.read_raw_packed_sc();
   uint64_t lockedv = reinterpret_cast<uint64_t>(d) | kLockedBit;
   if (val_of(p) == lockedv)
-    st.cas_raw_packed_ctx<Ccas>(c, p, reinterpret_cast<uint64_t>(d));
+    st.cas_raw_packed_ctx(c, p, reinterpret_cast<uint64_t>(d),
+                          /*precheck=*/true);
 }
 
 /// Run the descriptor's thunk (idempotently), mark done, release the lock.
-template <bool Ccas>
 inline bool run_and_unlock(thread_context* c, lock_word& st, descriptor* d) {
   FLOCK_DBG_API(c->dbg_held++);
   bool result = d->run(c);
@@ -256,7 +253,7 @@ inline bool run_and_unlock(thread_context* c, lock_word& st, descriptor* d) {
   // Chaos window: done published, unlock CAS pending — the finish-line
   // stall that help_throttled's done-but-locked signal targets.
   FLOCK_FAULTPOINT("lock.handoff.pre_unlock");
-  raw_unlock<Ccas>(c, st, d);
+  raw_unlock(c, st, d);
   FLOCK_DBG_API(c->dbg_held--);
   return result;
 }
@@ -264,7 +261,6 @@ inline bool run_and_unlock(thread_context* c, lock_word& st, descriptor* d) {
 /// Help the descriptor currently installed on `st` (Alg. 3 lines 24/26).
 /// `cur_packed` is the packed word under which the caller saw it locked.
 /// Consumes no enclosing log slots.
-template <bool Ccas>
 inline void help(thread_context* c, lock_word& st, uint64_t cur_packed) {
   descriptor* d = lv_descr(val_of(cur_packed));
   c->stat_attempted++;
@@ -286,7 +282,7 @@ inline void help(thread_context* c, lock_word& st, uint64_t cur_packed) {
     // Not our chain: its nested retires must not join our deferred list.
     bool owner_run = c->owner_run;
     c->owner_run = false;
-    run_and_unlock<Ccas>(c, st, d);
+    run_and_unlock(c, st, d);
     c->owner_run = owner_run;
   }
   g_epoch.restore_ctx(c, prev);
@@ -297,7 +293,6 @@ inline void help(thread_context* c, lock_word& st, uint64_t cur_packed) {
 /// helper. Consumes no enclosing log slots (raw reads and pauses only),
 /// so it is safe on both the top-level and the nested paths. Returns true
 /// if we helped, false if progress elsewhere made helping unnecessary.
-template <bool Ccas>
 inline bool help_throttled(thread_context* c, lock_word& st,
                            uint64_t cur_packed) {
   // The done-reads below may target a descriptor the owner has already
@@ -336,7 +331,7 @@ inline bool help_throttled(thread_context* c, lock_word& st,
     // Stall signal #2: the word did not move for the whole budget — the
     // holder may be descheduled mid-thunk. Fall through and help.
   }
-  help<Ccas>(c, st, cur_packed);
+  help(c, st, cur_packed);
   return true;
 }
 
@@ -350,9 +345,8 @@ inline bool help_throttled(thread_context* c, lock_word& st,
 /// enclosing thunk performs it. That run defers it to the enclosing
 /// top-level acquisition when it is the owner's run (see header), and
 /// epoch-retires otherwise.
-template <bool Ccas>
 inline void retire_logged(thread_context* c, descriptor* d) {
-  if (!commit_raw_ctx<Ccas>(c, 1).second) return;
+  if (!commit_raw_ctx(c, 1).second) return;
   if (c->owner_run) {
     d->deferred_next = c->deferred;
     c->deferred = d;
@@ -405,11 +399,10 @@ inline void retire_installed_toplevel(thread_context* c, descriptor* d) {
 
 /// Run a descriptor this thread just installed at top level, as its owner,
 /// then retire it with its deferred chain.
-template <bool Ccas>
 inline bool run_owned_toplevel(thread_context* c, lock_word& st,
                                descriptor* d) {
   c->owner_run = true;
-  bool result = run_and_unlock<Ccas>(c, st, d);
+  bool result = run_and_unlock(c, st, d);
   c->owner_run = false;
   retire_installed_toplevel(c, d);
   return result;
@@ -418,14 +411,14 @@ inline bool run_owned_toplevel(thread_context* c, lock_word& st,
 /// Top-level try_lock: no enclosing log, so nothing here must stay
 /// deterministic across runs — branch on raw reads and on the install
 /// CAS's own result, and keep a lost race to one pool push (see header).
-template <bool Ccas, class F>
+template <class F>
 bool try_lock_helping_toplevel(thread_context* c, lock_word& st, F&& f) {
   uint64_t cur = st.read_raw_packed();
   if (lv_locked(val_of(cur))) {
-    help_throttled<Ccas>(c, st, cur);
+    help_throttled(c, st, cur);
     return false;
   }
-  descriptor* d = create_descriptor_ctx<Ccas>(c, std::forward<F>(f));
+  descriptor* d = create_descriptor_ctx(c, std::forward<F>(f));
   uint64_t minev = reinterpret_cast<uint64_t>(d) | kLockedBit;
   // Re-validate after descriptor creation — the long pole between the
   // entry read and the install CAS, where install races concentrate.
@@ -434,71 +427,72 @@ bool try_lock_helping_toplevel(thread_context* c, lock_word& st, F&& f) {
   cur = st.read_raw_packed();
   if (lv_locked(val_of(cur))) {
     pool_delete_ctx(c, d);  // never published
-    help_throttled<Ccas>(c, st, cur);
+    help_throttled(c, st, cur);
     return false;
   }
-  // The ccas pre-check is skipped (<false>): we just read the word.
-  if (!st.cas_raw_packed_ctx<false>(c, cur, minev)) {
+  // No pre-check: we just read the word.
+  if (!st.cas_raw_packed_ctx(c, cur, minev, /*precheck=*/false)) {
     pool_delete_ctx(c, d);  // never published
     uint64_t fresh = st.read_raw_packed();
-    if (lv_locked(val_of(fresh))) help_throttled<Ccas>(c, st, fresh);
+    if (lv_locked(val_of(fresh))) help_throttled(c, st, fresh);
     return false;
   }
   // Chaos window: descriptor installed, thunk not yet run — the paper's
   // dead-holder scenario (a kill here parks holding the lock; helpers
   // must finish the critical section).
   FLOCK_FAULTPOINT("lock.install.post");
-  return run_owned_toplevel<Ccas>(c, st, d);
+  return run_owned_toplevel(c, st, d);
 }
 
-template <bool Ccas, class F>
+template <class F>
 bool try_lock_helping(thread_context* c, lock_word& st, F&& f) {
   if (c->log.block == nullptr)
-    return try_lock_helping_toplevel<Ccas>(c, st, std::forward<F>(f));
+    return try_lock_helping_toplevel(c, st, std::forward<F>(f));
   // Nested: the fully logged deterministic prefix (see header comment on
   // log-slot discipline). Helping is throttled here too — backoff spins
   // consume no log slots, so replays may legally spin different amounts.
-  uint64_t cur = st.load_packed_ctx<Ccas>(c);  // logged
+  uint64_t cur = st.load_packed_ctx(c);  // logged
   if (!lv_locked(val_of(cur))) {
     descriptor* d =
-        create_descriptor_ctx<Ccas>(c, std::forward<F>(f));  // logged alloc
+        create_descriptor_ctx(c, std::forward<F>(f));  // logged alloc
     uint64_t minev = reinterpret_cast<uint64_t>(d) | kLockedBit;
-    st.cas_raw_packed_ctx<Ccas>(c, cur, minev);  // install CAM: effects-once
+    st.cas_raw_packed_ctx(c, cur, minev,
+                          /*precheck=*/true);  // install CAM: effects-once
     // Chaos window (nested): install CAM issued, acquisition not yet
     // judged. Consumes no log slots, so replays may legally diverge here.
     FLOCK_FAULTPOINT("lock.install.post");
-    uint64_t nowv = val_of(st.load_packed_ctx<Ccas>(c));  // logged
+    uint64_t nowv = val_of(st.load_packed_ctx(c));  // logged
     // mo: acquire — raw done-read folded into the log (one slot);
     // pairs with run_and_unlock's release so an adopted "done" implies
     // the thunk's effects.
     bool d_done =
-        commit_raw_ctx<Ccas>(c, d->done.load(std::memory_order_acquire))
+        commit_raw_ctx(c, d->done.load(std::memory_order_acquire))
             .first != 0;
     if (d_done || nowv == minev) {
       // Acquired (possibly already helped to completion).
-      bool result = run_and_unlock<Ccas>(c, st, d);
-      retire_logged<Ccas>(c, d);
+      bool result = run_and_unlock(c, st, d);
+      retire_logged(c, d);
       return result;
     }
     if (lv_locked(nowv)) {
       // Help whoever holds the lock *now*; a fresh read keeps the helped
       // descriptor current, and help() revalidates before running.
       uint64_t fresh = st.read_raw_packed();
-      if (lv_locked(val_of(fresh))) help_throttled<Ccas>(c, st, fresh);
+      if (lv_locked(val_of(fresh))) help_throttled(c, st, fresh);
     }
-    retire_logged<Ccas>(c, d);
+    retire_logged(c, d);
     return false;
   }
-  help_throttled<Ccas>(c, st, cur);
+  help_throttled(c, st, cur);
   return false;
 }
 
-template <bool Ccas, class F>
+template <class F>
 bool strict_lock_helping(thread_context* c, lock_word& st, F&& f) {
   // §4: "by first creating the descriptor, and then putting the attempt to
   // acquire a lock into a while loop". The descriptor is created once,
   // outside the loop, so retries consume no fresh pool traffic.
-  descriptor* d = create_descriptor_ctx<Ccas>(c, std::forward<F>(f));
+  descriptor* d = create_descriptor_ctx(c, std::forward<F>(f));
   uint64_t minev = reinterpret_cast<uint64_t>(d) | kLockedBit;
   if (c->log.block == nullptr) {
     // Top level: raw reads and the install CAS's own result (nothing to
@@ -506,12 +500,12 @@ bool strict_lock_helping(thread_context* c, lock_word& st, F&& f) {
     while (true) {
       uint64_t cur = st.read_raw_packed();
       if (!lv_locked(val_of(cur))) {
-        if (st.cas_raw_packed_ctx<false>(c, cur, minev)) {
+        if (st.cas_raw_packed_ctx(c, cur, minev, /*precheck=*/false)) {
           FLOCK_FAULTPOINT("lock.install.post");
-          return run_owned_toplevel<Ccas>(c, st, d);
+          return run_owned_toplevel(c, st, d);
         }
       } else {
-        help_throttled<Ccas>(c, st, cur);
+        help_throttled(c, st, cur);
       }
     }
   }
@@ -519,42 +513,43 @@ bool strict_lock_helping(thread_context* c, lock_word& st, F&& f) {
   // executes the same number of iterations (backoff spins inside
   // help_throttled consume no log slots and may differ freely).
   while (true) {
-    uint64_t cur = st.load_packed_ctx<Ccas>(c);  // logged
+    uint64_t cur = st.load_packed_ctx(c);  // logged
     if (!lv_locked(val_of(cur))) {
-      st.cas_raw_packed_ctx<Ccas>(c, cur, minev);
+      st.cas_raw_packed_ctx(c, cur, minev, /*precheck=*/true);
       FLOCK_FAULTPOINT("lock.install.post");  // no log slots consumed
-      uint64_t nowv = val_of(st.load_packed_ctx<Ccas>(c));  // logged
+      uint64_t nowv = val_of(st.load_packed_ctx(c));  // logged
       // mo: acquire — same logged done-read as try_lock_helping's nested
       // path; pairs with run_and_unlock's release.
       bool d_done =
-          commit_raw_ctx<Ccas>(c, d->done.load(std::memory_order_acquire))
+          commit_raw_ctx(c, d->done.load(std::memory_order_acquire))
               .first != 0;
       if (d_done || nowv == minev) {
-        bool result = run_and_unlock<Ccas>(c, st, d);
-        retire_logged<Ccas>(c, d);
+        bool result = run_and_unlock(c, st, d);
+        retire_logged(c, d);
         return result;
       }
       if (lv_locked(nowv)) {
         uint64_t fresh = st.read_raw_packed();
-        if (lv_locked(val_of(fresh))) help_throttled<Ccas>(c, st, fresh);
+        if (lv_locked(val_of(fresh))) help_throttled(c, st, fresh);
       }
     } else {
-      help_throttled<Ccas>(c, st, cur);
+      help_throttled(c, st, cur);
     }
   }
 }
 
 // --- blocking (test-and-test-and-set) mode ---------------------------------
 //
-// The blocking CASes skip the ccas pre-check (template argument false):
-// the caller just read the word, so a second read before the CAS is pure
+// The blocking CASes skip the compare-and-compare-and-swap pre-check: the
+// caller just read the word, so a second read before the CAS is pure
 // overhead here.
 
 template <class F>
 bool try_lock_blocking(thread_context* c, lock_word& st, F&& f) {
   uint64_t p = st.read_raw_packed();
   if (lv_locked(val_of(p))) return false;
-  if (!st.cas_raw_packed_ctx<false>(c, p, kLockedBit)) return false;
+  if (!st.cas_raw_packed_ctx(c, p, kLockedBit, /*precheck=*/false))
+    return false;
   FLOCK_DBG_API(dbg_blocking_acquired(c, &st));
   bool result = f();
   FLOCK_DBG_API(dbg_blocking_release_bracket(c, &st));
@@ -568,7 +563,7 @@ bool strict_lock_blocking(thread_context* c, lock_word& st, F&& f) {
   while (true) {
     uint64_t p = st.read_raw_packed();
     if (!lv_locked(val_of(p))) {
-      if (st.cas_raw_packed_ctx<false>(c, p, kLockedBit)) break;
+      if (st.cas_raw_packed_ctx(c, p, kLockedBit, /*precheck=*/false)) break;
     } else {
       bo.spin();
     }
@@ -598,9 +593,7 @@ class lock {
     detail::thread_context* c = detail::my_ctx();
     if (is_blocking())
       return detail::try_lock_blocking(c, state_, std::forward<F>(f));
-    if (use_ccas())
-      return detail::try_lock_helping<true>(c, state_, std::forward<F>(f));
-    return detail::try_lock_helping<false>(c, state_, std::forward<F>(f));
+    return detail::try_lock_helping(c, state_, std::forward<F>(f));
   }
 
   /// Strict lock: loops (helping in lock-free mode) until acquired.
@@ -609,9 +602,7 @@ class lock {
     detail::thread_context* c = detail::my_ctx();
     if (is_blocking())
       return detail::strict_lock_blocking(c, state_, std::forward<F>(f));
-    if (use_ccas())
-      return detail::strict_lock_helping<true>(c, state_, std::forward<F>(f));
-    return detail::strict_lock_helping<false>(c, state_, std::forward<F>(f));
+    return detail::strict_lock_helping(c, state_, std::forward<F>(f));
   }
 
   /// Early release (§4): undefined unless the calling thread('s thunk)
@@ -623,10 +614,7 @@ class lock {
       state_.store_raw(0);
       return;
     }
-    if (use_ccas())
-      unlock_helping<true>(c);
-    else
-      unlock_helping<false>(c);
+    unlock_helping(c);
   }
 
   bool is_locked() const {
@@ -634,13 +622,12 @@ class lock {
   }
 
  private:
-  template <bool Ccas>
   void unlock_helping(detail::thread_context* c) {
-    uint64_t cur = state_.load_packed_ctx<Ccas>(c);  // logged
+    uint64_t cur = state_.load_packed_ctx(c);  // logged
     FLOCK_DBG_API(detail::dbg_check_unlock_helping(c, val_of(cur)));
     if (detail::lv_locked(val_of(cur)))
-      state_.cas_raw_packed_ctx<Ccas>(c, cur,
-                                      val_of(cur) & ~detail::kLockedBit);
+      state_.cas_raw_packed_ctx(c, cur, val_of(cur) & ~detail::kLockedBit,
+                                /*precheck=*/true);
   }
 
   detail::lock_word state_;

@@ -22,12 +22,9 @@
 // Commits use compare-and-compare-and-swap (§6 "Avoiding CASes"): read the
 // slot first and skip the CAS when it is already full.
 //
-// Hot-path structure: the commit core is templated on the ccas choice and
-// takes the caller's thread context, so the lock machinery (which
-// dispatches on the mode once per acquisition, see lock.hpp) performs no
-// TLS lookups and no shared-flag loads inside its loops. The public
-// commit_raw / commit_value fetch the context and load the flag once per
-// call.
+// Hot-path structure: the commit core takes the caller's thread context,
+// so the lock machinery performs no TLS lookups inside its loops. The
+// public commit_raw / commit_value fetch the context once per call.
 //
 // Logs grow in blocks of kLogBlockEntries slots plus a next pointer, one
 // cache line (§6 "Arbitrary Length Logs"); extending the chain is itself
@@ -41,6 +38,7 @@
 #include <utility>
 
 #include "allocator.hpp"
+#include "chaos/faultpoint.hpp"
 #include "config.hpp"
 #include "epoch.hpp"
 #include "thread_context.hpp"
@@ -107,11 +105,9 @@ inline void log_bump(thread_context* c, log_cursor& cur) {
   cur.pos = 0;
 }
 
-/// commitValue (Alg. 2 line 31) core: ccas choice is a template constant,
-/// the context is supplied by the caller. The payload must not be 2^64 - 1
-/// (see the header). Returns the committed payload and whether the calling
-/// run was first to commit.
-template <bool Ccas>
+/// commitValue (Alg. 2 line 31) core; the context is supplied by the
+/// caller. The payload must not be 2^64 - 1 (see the header). Returns the
+/// committed payload and whether the calling run was first to commit.
 inline std::pair<uint64_t, bool> commit_raw_ctx(thread_context* c,
                                                 uint64_t payload) {
   log_cursor& cur = c->log;
@@ -120,20 +116,21 @@ inline std::pair<uint64_t, bool> commit_raw_ctx(thread_context* c,
   log_bump(c, cur);
   ++c->commit_count;
 
-  const uint64_t desired = payload + 1;
-  if constexpr (Ccas) {
-    // Compare-and-compare-and-swap (§6): skip the CAS when already full.
-    // mo: acquire — adopting a value another run committed must also
-    // acquire whatever that run published before committing it (e.g. the
-    // object a committed pointer refers to).
-    uint64_t seen = slot.v.load(std::memory_order_acquire);
-    if (seen != kLogEmpty) return {seen - 1, false};
-  }
+  // Compare-and-compare-and-swap (§6): skip the CAS when already full.
+  // mo: acquire — adopting a value another run committed must also
+  // acquire whatever that run published before committing it (e.g. the
+  // object a committed pointer refers to).
+  uint64_t seen = slot.v.load(std::memory_order_acquire);
+  if (seen != kLogEmpty) return {seen - 1, false};
+  // The window between the pre-check and the CAS: another run can fill
+  // the slot right here, and this run then adopts through a failed CAS.
+  // Scheduler-only yield point; erased without FLOCK_CHAOS.
+  FLOCK_SCHEDPOINT("log.commit.pre");
   uint64_t expected = kLogEmpty;
   // mo: acq_rel — release so the committed payload's referent is visible
   // to runs that adopt it; acquire on failure for the same adoption
-  // argument as the ccas pre-check above.
-  if (slot.v.compare_exchange_strong(expected, desired,
+  // argument as the pre-check above.
+  if (slot.v.compare_exchange_strong(expected, payload + 1,
                                      std::memory_order_acq_rel)) {
     return {payload, true};
   }
@@ -143,11 +140,9 @@ inline std::pair<uint64_t, bool> commit_raw_ctx(thread_context* c,
 }  // namespace detail
 
 /// commitValue on a raw 64-bit payload other than 2^64 - 1 (public
-/// spelling; one context fetch and one ccas-flag load per call).
+/// spelling; one context fetch per call).
 inline std::pair<uint64_t, bool> commit_raw(uint64_t payload) {
-  detail::thread_context* c = detail::my_ctx();
-  return use_ccas() ? detail::commit_raw_ctx<true>(c, payload)
-                    : detail::commit_raw_ctx<false>(c, payload);
+  return detail::commit_raw_ctx(detail::my_ctx(), payload);
 }
 
 /// Users can commit arbitrary nondeterministic results (paper §3.2: "The
@@ -164,11 +159,7 @@ template <class T, class... Args>
 T* idem_new(Args&&... args) {
   detail::thread_context* c = detail::my_ctx();
   T* mine = detail::pool_new_ctx<T>(c, std::forward<Args>(args)...);
-  auto r = use_ccas()
-               ? detail::commit_raw_ctx<true>(
-                     c, reinterpret_cast<uint64_t>(mine))
-               : detail::commit_raw_ctx<false>(
-                     c, reinterpret_cast<uint64_t>(mine));
+  auto r = detail::commit_raw_ctx(c, reinterpret_cast<uint64_t>(mine));
   if (r.second) return mine;
   detail::pool_delete_ctx(c, mine);  // never published: immediate free is safe
   return reinterpret_cast<T*>(r.first);
@@ -179,9 +170,7 @@ T* idem_new(Args&&... args) {
 template <class T>
 void idem_retire(T* obj) {
   detail::thread_context* c = detail::my_ctx();
-  bool first = use_ccas() ? detail::commit_raw_ctx<true>(c, 1).second
-                          : detail::commit_raw_ctx<false>(c, 1).second;
-  if (first) detail::epoch_retire_ctx(c, obj);
+  if (detail::commit_raw_ctx(c, 1).second) detail::epoch_retire_ctx(c, obj);
 }
 
 /// Idempotent retirement of a whole list under ONE log slot: the run that
@@ -193,9 +182,7 @@ void idem_retire(T* obj) {
 template <class T, class Next>
 void idem_retire_list(T* head, Next next) {
   detail::thread_context* c = detail::my_ctx();
-  bool first = use_ccas() ? detail::commit_raw_ctx<true>(c, 1).second
-                          : detail::commit_raw_ctx<false>(c, 1).second;
-  if (!first) return;
+  if (!detail::commit_raw_ctx(c, 1).second) return;
   while (head != nullptr) {
     T* nxt = next(head);
     detail::epoch_retire_ctx(c, head);

@@ -17,11 +17,13 @@
 // fail); cam is a CAS that externalizes no result. Outside of any thunk,
 // commits pass through and these degrade to ordinary atomics.
 //
+// Logged CASes use compare-and-compare-and-swap (§6 "Avoiding CASes"):
+// re-read the word and skip the CAS when it no longer matches. Callers
+// whose expected word was just read skip the re-read (precheck = false).
+//
 // Hot-path structure: every public operation fetches the thread context
-// once and resolves the ccas flag once, then runs a fully specialized
-// core (_ctx<Ccas> members). The lock machinery calls the cores directly
-// with its own dispatch (lock.hpp), so its loops contain no TLS lookups
-// or shared-flag loads at all.
+// once. The lock machinery calls the _ctx members with its own context
+// (lock.hpp), so its loops contain no TLS lookups at all.
 //
 // Usage rule inherited from the paper: stores and CAMs must not race on
 // the same location (enforce with your locking discipline).
@@ -58,33 +60,21 @@ class mutable_ {
 
   /// Idempotent load: logged inside a thunk (Alg. 2 line 40).
   T load() const {
-    detail::thread_context* c = detail::my_ctx();
-    // mo: acquire — a loaded pointer must carry the referent's
-    // initialization (published by the seq_cst installing CAS).
-    uint64_t p = word_.load(std::memory_order_acquire);
-    if (c->log.block != nullptr) {
-      p = use_ccas() ? detail::commit_raw_ctx<true>(c, p).first
-                     : detail::commit_raw_ctx<false>(c, p).first;
-    }
-    return from_bits48<T>(val_of(p));
+    return from_bits48<T>(val_of(load_packed_ctx(detail::my_ctx())));
   }
 
   /// Idempotent store (Alg. 2 line 43): logged load then tag-bumping CAS.
   void store(T v) {
     detail::thread_context* c = detail::my_ctx();
-    if (use_ccas())
-      store_ctx<true>(c, v);
-    else
-      store_ctx<false>(c, v);
+    cas_raw_packed_ctx(c, load_packed_ctx(c), v, /*precheck=*/true);
   }
 
   /// Idempotent CAM (Alg. 2 line 46): CAS that returns nothing.
   void cam(T expected, T desired) {
     detail::thread_context* c = detail::my_ctx();
-    if (use_ccas())
-      cam_ctx<true>(c, expected, desired);
-    else
-      cam_ctx<false>(c, expected, desired);
+    uint64_t oldp = load_packed_ctx(c);
+    if (val_of(oldp) != to_bits48(expected)) return;
+    cas_raw_packed_ctx(c, oldp, desired, /*precheck=*/true);
   }
 
   /// Sugar matching the paper's examples: assignment stores.
@@ -93,38 +83,14 @@ class mutable_ {
     return *this;
   }
 
-  // --- Specialized cores: context supplied, ccas resolved at compile
-  // time. Used by the public wrappers above and by lock.hpp. ---------------
-  template <bool Ccas>
-  void store_ctx(detail::thread_context* c, T v) {
-    uint64_t oldp = load_packed_ctx<Ccas>(c);
-    cas_packed_ctx<Ccas>(
-        c, oldp, pack_tagged(detail::next_tag(this, oldp), to_bits48(v)));
-  }
-
-  template <bool Ccas>
-  void cam_ctx(detail::thread_context* c, T expected, T desired) {
-    uint64_t oldp = load_packed_ctx<Ccas>(c);
-    if (val_of(oldp) != to_bits48(expected)) return;
-    cas_packed_ctx<Ccas>(
-        c, oldp,
-        pack_tagged(detail::next_tag(this, oldp), to_bits48(desired)));
-  }
-
-  /// Logged load returning the full packed word (lock implementation).
-  template <bool Ccas>
+  /// Logged load returning the full packed word, with the caller's
+  /// context (the core of load(); lock.hpp calls it directly).
   uint64_t load_packed_ctx(detail::thread_context* c) const {
-    // mo: acquire — same pairing as load(): the packed value may be a
-    // pointer whose referent must be visible to the caller.
+    // mo: acquire — a loaded pointer must carry the referent's
+    // initialization (published by the seq_cst installing CAS).
     uint64_t p = word_.load(std::memory_order_acquire);
-    if (c->log.block != nullptr)
-      p = detail::commit_raw_ctx<Ccas>(c, p).first;
+    if (c->log.block != nullptr) p = detail::commit_raw_ctx(c, p).first;
     return p;
-  }
-
-  uint64_t load_packed() const {
-    detail::thread_context* c = detail::my_ctx();
-    return use_ccas() ? load_packed_ctx<true>(c) : load_packed_ctx<false>(c);
   }
 
   // --- Raw (unlogged) access: used by the lock implementation for the
@@ -155,20 +121,38 @@ class mutable_ {
   }
 
   /// Tag-bumping raw CAS; announced so tag-wrap scans can see the expected
-  /// word. Returns true if this call installed the new value.
-  template <bool Ccas>
+  /// word. Returns true if this call installed the new value. `precheck`
+  /// re-reads the word first and skips a CAS that would fail (§6); pass
+  /// false only when `expected_packed` was just read, where the re-read
+  /// would repeat that read.
   bool cas_raw_packed_ctx(detail::thread_context* c, uint64_t expected_packed,
-                          T desired) {
-    return cas_packed_ctx<Ccas>(
-        c, expected_packed,
-        pack_tagged(detail::next_tag(this, expected_packed),
-                    to_bits48(desired)));
+                          T desired, bool precheck) {
+    uint64_t desired_packed = pack_tagged(
+        detail::next_tag(this, expected_packed), to_bits48(desired));
+    if (precheck) {
+      // mo: acquire — the pre-check substitutes for the CAS's failure
+      // path, so it needs the CAS failure ordering (acquire) too.
+      if (word_.load(std::memory_order_acquire) != expected_packed)
+        return false;
+    }
+    // The window between (c)cas validation and the committing CAS: the
+    // tag in `expected_packed` can go stale right here. Scheduler-only
+    // yield point (no fault plans); erased without FLOCK_CHAOS.
+    FLOCK_SCHEDPOINT("mut.cas.pre");
+    detail::announce_guard g(c, this, expected_packed);
+    // seq_cst (not acq_rel) so lock-word CASes participate in the
+    // hand-off protocol's total order (lock.hpp); identical code on x86,
+    // where a locked RMW is a full barrier either way.
+    // mo: acquire (failure) — a failed install still observes the
+    // winner's word, e.g. a descriptor the caller may go on to help.
+    return word_.compare_exchange_strong(expected_packed, desired_packed,
+                                         std::memory_order_seq_cst,
+                                         std::memory_order_acquire);
   }
 
   bool cas_raw_packed(uint64_t expected_packed, T desired) {
-    detail::thread_context* c = detail::my_ctx();
-    return use_ccas() ? cas_raw_packed_ctx<true>(c, expected_packed, desired)
-                      : cas_raw_packed_ctx<false>(c, expected_packed, desired);
+    return cas_raw_packed_ctx(detail::my_ctx(), expected_packed, desired,
+                              /*precheck=*/true);
   }
 
   /// Plain release store (blocking mode only: no helpers exist).
@@ -183,30 +167,6 @@ class mutable_ {
   }
 
  private:
-  template <bool Ccas>
-  bool cas_packed_ctx(detail::thread_context* c, uint64_t expected,
-                      uint64_t desired) {
-    if constexpr (Ccas) {
-      // compare-and-compare-and-swap (§6)
-      // mo: acquire — the pre-check substitutes for the CAS's failure
-      // path, so it needs the CAS failure ordering (acquire) too.
-      if (word_.load(std::memory_order_acquire) != expected) return false;
-    }
-    // The window between (c)cas validation and the committing CAS: the
-    // tag in `expected` can go stale right here. Scheduler-only yield
-    // point (no fault plans); erased without FLOCK_CHAOS.
-    FLOCK_SCHEDPOINT("mut.cas.pre");
-    detail::announce_guard g(c, this, expected);
-    // seq_cst (not acq_rel) so lock-word CASes participate in the
-    // hand-off protocol's total order (lock.hpp); identical code on x86,
-    // where a locked RMW is a full barrier either way.
-    // mo: acquire (failure) — a failed install still observes the
-    // winner's word, e.g. a descriptor the caller may go on to help.
-    return word_.compare_exchange_strong(expected, desired,
-                                         std::memory_order_seq_cst,
-                                         std::memory_order_acquire);
-  }
-
   std::atomic<uint64_t> word_;
 };
 

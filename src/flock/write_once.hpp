@@ -31,18 +31,15 @@ class write_once {
   // through a subsequent release operation (pool allocate / CS publish).
   void init(T v) { word_.store(to_bits48(v), std::memory_order_relaxed); }
 
-  /// Idempotent (logged) load. One context fetch; the commit core is
-  /// specialized on the ccas flag resolved here.
+  /// Idempotent (logged) load: one context fetch, then the log's commit
+  /// core (compare-and-compare-and-swap, log.hpp).
   T load() const {
     detail::thread_context* c = detail::my_ctx();
     // mo: acquire — pairs with store()'s release so a reader that sees
     // the updated value also sees everything published before it (e.g.
     // the bucket copies a forwarded flag covers).
     uint64_t b = word_.load(std::memory_order_acquire);
-    if (c->log.block != nullptr) {
-      b = use_ccas() ? detail::commit_raw_ctx<true>(c, b).first
-                     : detail::commit_raw_ctx<false>(c, b).first;
-    }
+    if (c->log.block != nullptr) b = detail::commit_raw_ctx(c, b).first;
     return from_bits48<T>(b);
   }
 

@@ -24,11 +24,9 @@ class ApiGuardTest : public ::testing::Test {
  protected:
   void SetUp() override {
     flock::set_blocking(false);
-    flock::set_ccas(true);
   }
   void TearDown() override {
     flock::set_blocking(false);
-    flock::set_ccas(true);
     flock::epoch_manager::instance().flush();
   }
 };
@@ -36,24 +34,21 @@ class ApiGuardTest : public ::testing::Test {
 // --- positive: guards stay silent on legitimate use -------------------------
 
 TEST_F(ApiGuardTest, EarlyUnlockInsideThunkLockFree) {
-  for (bool ccas : {false, true}) {
-    flock::set_ccas(ccas);
-    flock::lock l;
-    auto* x = flock::pool_new<flock::mutable_<uint64_t>>();
-    x->init(0);
-    flock::lock* lp = &l;
-    bool ok = flock::try_lock(l, [lp, x] {
-      x->store(x->load() + 1);
-      lp->unlock();  // §4 early release; the trailing auto-release no-ops
-      return true;
-    });
-    EXPECT_TRUE(ok);
-    EXPECT_FALSE(l.is_locked());
-    EXPECT_EQ(x->read_raw(), 1u);
-    // Reacquirable after the early release.
-    EXPECT_TRUE(flock::try_lock(l, [] { return true; }));
-    flock::pool_delete(x);
-  }
+  flock::lock l;
+  auto* x = flock::pool_new<flock::mutable_<uint64_t>>();
+  x->init(0);
+  flock::lock* lp = &l;
+  bool ok = flock::try_lock(l, [lp, x] {
+    x->store(x->load() + 1);
+    lp->unlock();  // §4 early release; the trailing auto-release no-ops
+    return true;
+  });
+  EXPECT_TRUE(ok);
+  EXPECT_FALSE(l.is_locked());
+  EXPECT_EQ(x->read_raw(), 1u);
+  // Reacquirable after the early release.
+  EXPECT_TRUE(flock::try_lock(l, [] { return true; }));
+  flock::pool_delete(x);
 }
 
 TEST_F(ApiGuardTest, EarlyUnlockInsideCriticalSectionBlocking) {
@@ -97,39 +92,36 @@ TEST_F(ApiGuardTest, HandOverHandChainLockFree) {
 // one) under the guards; every worker's thread-exit leak check runs at
 // join and aborts the test on any unbalanced critical section.
 TEST_F(ApiGuardTest, ContendedHelpingBalancesUnderGuards) {
-  for (bool ccas : {false, true}) {
-    flock::set_ccas(ccas);
-    flock::lock l;
-    auto* x = flock::pool_new<flock::mutable_<uint64_t>>();
-    x->init(0);
-    constexpr int kThreads = 4, kOps = 1500;
-    std::atomic<uint64_t> wins{0};
-    std::vector<std::thread> ts;
-    for (int t = 0; t < kThreads; t++) {
-      ts.emplace_back([&l, x, &wins] {
-        flock::lock* lp = &l;
-        uint64_t mine = 0;
-        for (int i = 0; i < kOps; i++) {
-          bool early = (i & 7) == 0;
-          bool ok = flock::with_epoch([&] {
-            return flock::try_lock(l, [lp, x, early] {
-              x->store(x->load() + 1);
-              if (early) lp->unlock();
-              return true;
-            });
+  flock::lock l;
+  auto* x = flock::pool_new<flock::mutable_<uint64_t>>();
+  x->init(0);
+  constexpr int kThreads = 4, kOps = 1500;
+  std::atomic<uint64_t> wins{0};
+  std::vector<std::thread> ts;
+  for (int t = 0; t < kThreads; t++) {
+    ts.emplace_back([&l, x, &wins] {
+      flock::lock* lp = &l;
+      uint64_t mine = 0;
+      for (int i = 0; i < kOps; i++) {
+        bool early = (i & 7) == 0;
+        bool ok = flock::with_epoch([&] {
+          return flock::try_lock(l, [lp, x, early] {
+            x->store(x->load() + 1);
+            if (early) lp->unlock();
+            return true;
           });
-          if (ok) mine++;
-        }
-        wins.fetch_add(mine);
-      });
-    }
-    for (auto& t : ts) t.join();  // leak check fires here if unbalanced
-    EXPECT_FALSE(l.is_locked());
-    EXPECT_EQ(x->read_raw(), wins.load());
-    EXPECT_GE(wins.load(), (uint64_t)kThreads);  // someone always wins
-    flock::pool_delete(x);
-    flock::epoch_manager::instance().flush();
+        });
+        if (ok) mine++;
+      }
+      wins.fetch_add(mine);
+    });
   }
+  for (auto& t : ts) t.join();  // leak check fires here if unbalanced
+  EXPECT_FALSE(l.is_locked());
+  EXPECT_EQ(x->read_raw(), wins.load());
+  EXPECT_GE(wins.load(), (uint64_t)kThreads);  // someone always wins
+  flock::pool_delete(x);
+  flock::epoch_manager::instance().flush();
 }
 
 // --- death tests: misuse aborts with a diagnostic ---------------------------

@@ -86,27 +86,22 @@ TEST(Backoff, SetBackoffClamps) {
 // A stalled owner (stuck mid-thunk until released) must still be helped
 // by a throttled waiter: the backoff budget is bounded, so the waiter
 // converts to a helper and completes the critical section. Covers both
-// ccas modes and both probe shapes (try_lock and strict_lock).
+// probe shapes (try_lock and strict_lock).
 TEST(Backoff, ThrottledWaiterStillHelpsStalledOwner) {
   flock::set_blocking(false);
   tunables_guard g;
   // A generous budget: the throttle must delay, not defeat, helping.
   flock::set_backoff({16, 256, 32});
-  for (bool ccas : {true, false}) {
-    flock::set_ccas(ccas);
-    for (auto kind : {helping_test::probe_kind::try_probe,
-                      helping_test::probe_kind::strict_probe}) {
-      auto before = flock::stats();
-      uint64_t applied = helping_test::force_one_help(kind);
-      auto after = flock::stats();
-      EXPECT_EQ(applied, 1u) << "ccas=" << ccas;
-      EXPECT_GT(after.helps_run - before.helps_run, 0u) << "ccas=" << ccas;
-      EXPECT_GT(after.backoff_spins - before.backoff_spins, 0u)
-          << "ccas=" << ccas;
-    }
-    flock::epoch_manager::instance().flush();
+  for (auto kind : {helping_test::probe_kind::try_probe,
+                    helping_test::probe_kind::strict_probe}) {
+    auto before = flock::stats();
+    uint64_t applied = helping_test::force_one_help(kind);
+    auto after = flock::stats();
+    EXPECT_EQ(applied, 1u);
+    EXPECT_GT(after.helps_run - before.helps_run, 0u);
+    EXPECT_GT(after.backoff_spins - before.backoff_spins, 0u);
   }
-  flock::set_ccas(true);
+  flock::epoch_manager::instance().flush();
 }
 
 // help_delay = 0 disables the throttle entirely: the probe helps on first
@@ -136,55 +131,51 @@ TEST(Backoff, ReleaseDuringBackoffAvoidsTheHelp) {
   // Long rounds and a long budget so the waiter is reliably mid-backoff
   // when the owner releases.
   flock::set_backoff({1u << 14, 1u << 16, 256});
-  for (bool ccas : {true, false}) {
-    flock::set_ccas(ccas);
-    bool avoided = false;
-    for (int attempt = 0; attempt < 10 && !avoided; attempt++) {
-      flock::lock l;
-      auto* x = flock::pool_new<flock::mutable_<uint64_t>>();
-      x->init(0);
+  bool avoided = false;
+  for (int attempt = 0; attempt < 10 && !avoided; attempt++) {
+    flock::lock l;
+    auto* x = flock::pool_new<flock::mutable_<uint64_t>>();
+    x->init(0);
 
-      std::atomic<bool> owner_installed{false};
-      std::atomic<bool> owner_may_finish{false};
-      std::thread owner([&] {
-        int tid = flock::thread_id();
-        flock::with_epoch([&] {
-          return flock::try_lock(l, [&, x, tid] {
-            uint64_t v = x->load();
-            owner_installed.store(true);
-            while (!owner_may_finish.load() && flock::thread_id() == tid) {
-            }
-            x->store(v + 1);
-            return true;
-          });
+    std::atomic<bool> owner_installed{false};
+    std::atomic<bool> owner_may_finish{false};
+    std::thread owner([&] {
+      int tid = flock::thread_id();
+      flock::with_epoch([&] {
+        return flock::try_lock(l, [&, x, tid] {
+          uint64_t v = x->load();
+          owner_installed.store(true);
+          while (!owner_may_finish.load() && flock::thread_id() == tid) {
+          }
+          x->store(v + 1);
+          return true;
         });
       });
-      while (!owner_installed.load()) {
-      }
-
-      auto before = flock::stats();
-      std::thread waiter([&] {
-        flock::with_epoch(
-            [&] { return flock::try_lock(l, [] { return true; }); });
-      });
-      // Wait until the waiter is demonstrably inside a backoff round,
-      // then release the owner; the waiter's next re-check sees the word
-      // move and returns without helping.
-      while (flock::stats().backoff_spins == before.backoff_spins) {
-      }
-      owner_may_finish.store(true);
-      owner.join();
-      waiter.join();
-      auto after = flock::stats();
-
-      EXPECT_EQ(x->read_raw(), 1u) << "ccas=" << ccas;
-      avoided = after.helps_avoided > before.helps_avoided;
-      flock::pool_delete(x);
-      flock::epoch_manager::instance().flush();
+    });
+    while (!owner_installed.load()) {
     }
-    EXPECT_TRUE(avoided) << "ccas=" << ccas;
+
+    auto before = flock::stats();
+    std::thread waiter([&] {
+      flock::with_epoch(
+          [&] { return flock::try_lock(l, [] { return true; }); });
+    });
+    // Wait until the waiter is demonstrably inside a backoff round,
+    // then release the owner; the waiter's next re-check sees the word
+    // move and returns without helping.
+    while (flock::stats().backoff_spins == before.backoff_spins) {
+    }
+    owner_may_finish.store(true);
+    owner.join();
+    waiter.join();
+    auto after = flock::stats();
+
+    EXPECT_EQ(x->read_raw(), 1u);
+    avoided = after.helps_avoided > before.helps_avoided;
+    flock::pool_delete(x);
+    flock::epoch_manager::instance().flush();
   }
-  flock::set_ccas(true);
+  EXPECT_TRUE(avoided);
 }
 
 }  // namespace

@@ -34,7 +34,6 @@ class ChaosTest : public ::testing::Test {
   void SetUp() override {
     chaos::reset();
     flock::set_blocking(false);
-    flock::set_ccas(true);
   }
   void TearDown() override {
     // A test that failed mid-plan must not leave parked threads or armed
@@ -43,7 +42,6 @@ class ChaosTest : public ::testing::Test {
     spin_until([] { return chaos::parked() == 0; });
     chaos::reset();
     flock::set_blocking(false);
-    flock::set_ccas(true);
     flock::epoch_manager::instance().flush();
   }
 };
@@ -138,9 +136,8 @@ TEST_F(ChaosTest, ArrayAllocFailurePropagatesNullWithoutSideEffects) {
 // critical section again. In lock-free mode helpers must (a) finish the
 // victim's section and (b) keep completing their own operations.
 
-void killed_holder_scenario(bool ccas, bool nested) {
-  SCOPED_TRACE(::testing::Message() << "ccas=" << ccas << " nested=" << nested);
-  flock::set_ccas(ccas);
+void killed_holder_scenario(bool nested) {
+  SCOPED_TRACE(::testing::Message() << "nested=" << nested);
   flock::lock outer, inner;
   auto* x = flock::pool_new<flock::mutable_<uint64_t>>();
   x->init(0);
@@ -214,17 +211,11 @@ void killed_holder_scenario(bool ccas, bool nested) {
   EXPECT_EQ(em.pending(), 0);
 }
 
-TEST_F(ChaosTest, KilledHolderIsHelpedToCompletionCcasOn) {
-  killed_holder_scenario(/*ccas=*/true, /*nested=*/false);
+TEST_F(ChaosTest, KilledHolderIsHelpedToCompletion) {
+  killed_holder_scenario(/*nested=*/false);
 }
-TEST_F(ChaosTest, KilledHolderIsHelpedToCompletionCcasOff) {
-  killed_holder_scenario(/*ccas=*/false, /*nested=*/false);
-}
-TEST_F(ChaosTest, KilledHolderMidNestIsHelpedToCompletionCcasOn) {
-  killed_holder_scenario(/*ccas=*/true, /*nested=*/true);
-}
-TEST_F(ChaosTest, KilledHolderMidNestIsHelpedToCompletionCcasOff) {
-  killed_holder_scenario(/*ccas=*/false, /*nested=*/true);
+TEST_F(ChaosTest, KilledHolderMidNestIsHelpedToCompletion) {
+  killed_holder_scenario(/*nested=*/true);
 }
 
 // Kill the first thread to cross EACH lock-path protocol window and

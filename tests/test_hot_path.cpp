@@ -1,7 +1,7 @@
 // Stress tests for the mode-specialized hot paths (lock.hpp): the same
-// workload through every dispatch specialization (blocking/helping ×
-// ccas on/off), deterministic forced helping with observable counters,
-// and epoch-batch draining leaving the pools balanced after flush().
+// workload through every dispatch specialization (blocking/helping),
+// deterministic forced helping with observable counters, and epoch-batch
+// draining leaving the pools balanced after flush().
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,72 +18,61 @@ namespace {
 // of successful acquisitions.
 TEST(HotPath, SameWorkloadThroughEveryDispatchSpecialization) {
   for (bool blocking : {false, true}) {
-    for (bool ccas : {true, false}) {
-      flock::mode_guard mode(blocking);
-      flock::set_ccas(ccas);
-      flock::lock outer, inner;
-      auto* x = flock::pool_new<flock::mutable_<uint64_t>>();
-      auto* y = flock::pool_new<flock::mutable_<uint64_t>>();
-      x->init(0);
-      y->init(0);
-      constexpr int kThreads = 4;
-      constexpr int kOps = 1500;
-      std::atomic<long long> outer_wins{0};
-      std::vector<std::thread> ts;
-      for (int t = 0; t < kThreads; t++) {
-        ts.emplace_back([&] {
-          long long ow = 0;
-          for (int i = 0; i < kOps; i++) {
-            bool got = flock::with_epoch([&] {
-              return flock::try_lock(outer, [&inner, x, y] {
-                x->store(x->load() + 1);
-                // Nested acquisition: exercises the log-slot discipline
-                // under the specialized paths. The outer lock serializes
-                // all access to `inner`, so this always succeeds (stale
-                // helper runs can't re-lock it: their CASes are
-                // tag-guarded effects-once).
-                flock::try_lock(inner, [y] {
-                  y->store(y->load() + 1);
-                  return true;
-                });
+    flock::mode_guard mode(blocking);
+    flock::lock outer, inner;
+    auto* x = flock::pool_new<flock::mutable_<uint64_t>>();
+    auto* y = flock::pool_new<flock::mutable_<uint64_t>>();
+    x->init(0);
+    y->init(0);
+    constexpr int kThreads = 4;
+    constexpr int kOps = 1500;
+    std::atomic<long long> outer_wins{0};
+    std::vector<std::thread> ts;
+    for (int t = 0; t < kThreads; t++) {
+      ts.emplace_back([&] {
+        long long ow = 0;
+        for (int i = 0; i < kOps; i++) {
+          bool got = flock::with_epoch([&] {
+            return flock::try_lock(outer, [&inner, x, y] {
+              x->store(x->load() + 1);
+              // Nested acquisition: exercises the log-slot discipline
+              // under the specialized paths. The outer lock serializes
+              // all access to `inner`, so this always succeeds (stale
+              // helper runs can't re-lock it: their CASes are
+              // tag-guarded effects-once).
+              flock::try_lock(inner, [y] {
+                y->store(y->load() + 1);
                 return true;
               });
+              return true;
             });
-            if (got) ow++;
-          }
-          outer_wins.fetch_add(ow);
-        });
-      }
-      for (auto& t : ts) t.join();
-      EXPECT_EQ(x->read_raw(), static_cast<uint64_t>(outer_wins.load()))
-          << "blocking=" << blocking << " ccas=" << ccas;
-      // Exactly one effective inner acquisition per outer win.
-      EXPECT_EQ(y->read_raw(), x->read_raw())
-          << "blocking=" << blocking << " ccas=" << ccas;
-      flock::pool_delete(x);
-      flock::pool_delete(y);
-      flock::set_ccas(true);
-      flock::epoch_manager::instance().flush();
+          });
+          if (got) ow++;
+        }
+        outer_wins.fetch_add(ow);
+      });
     }
+    for (auto& t : ts) t.join();
+    EXPECT_EQ(x->read_raw(), static_cast<uint64_t>(outer_wins.load()))
+        << "blocking=" << blocking;
+    // Exactly one effective inner acquisition per outer win.
+    EXPECT_EQ(y->read_raw(), x->read_raw()) << "blocking=" << blocking;
+    flock::pool_delete(x);
+    flock::pool_delete(y);
+    flock::epoch_manager::instance().flush();
   }
 }
 
-// Deterministic helping in both ccas specializations (scaffold in
-// helping_test_util.hpp).
-TEST(HotPath, ForcedHelpingRunsThunksInBothCcasModes) {
+// Deterministic helping (scaffold in helping_test_util.hpp).
+TEST(HotPath, ForcedHelpingRunsThunks) {
   flock::set_blocking(false);
-  for (bool ccas : {true, false}) {
-    flock::set_ccas(ccas);
-    auto before = flock::stats();
-    uint64_t applied = helping_test::force_one_help();
-    auto after = flock::stats();
-    EXPECT_GT(after.helps_attempted - before.helps_attempted, 0u)
-        << "ccas=" << ccas;
-    EXPECT_GT(after.helps_run - before.helps_run, 0u) << "ccas=" << ccas;
-    EXPECT_EQ(applied, 1u) << "ccas=" << ccas;
-    flock::set_ccas(true);
-    flock::epoch_manager::instance().flush();
-  }
+  auto before = flock::stats();
+  uint64_t applied = helping_test::force_one_help();
+  auto after = flock::stats();
+  EXPECT_GT(after.helps_attempted - before.helps_attempted, 0u);
+  EXPECT_GT(after.helps_run - before.helps_run, 0u);
+  EXPECT_EQ(applied, 1u);
+  flock::epoch_manager::instance().flush();
 }
 
 // Epoch-batch draining: push far more retires than one batch holds (so

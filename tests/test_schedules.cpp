@@ -5,11 +5,13 @@
 // *enumerate*: every interleaving of 2 logical threads (preemption bound
 // 2, optionally composed with "thread dies at step k" kill tokens) over
 //
-//   * top-level try_lock install / handoff / help, in both ccas modes,
-//     asserting the exact counter value and lock state on every schedule;
+//   * top-level try_lock install / handoff / help, asserting the exact
+//     counter value and lock state on every schedule;
+//   * two runs of one log racing each slot's pre-check and commit CAS;
 //   * grow publication ordering (split copies -> forwarded write_once
 //     flag -> root swing -> epoch retire), including the resize-trigger
-//     alloc-fail deferral composed with schedules;
+//     alloc-fail deferral composed with schedules, and a helper's late
+//     replay of a grow unit after its successor bucket took an insert;
 //   * epoch retire vs. announce, via explicit test.* yield points.
 //
 // Every run records a schedule string ("0,0,1,k0,..."); the replay tests
@@ -44,12 +46,10 @@ class ScheduleTest : public ::testing::Test {
   void SetUp() override {
     chaos::reset();
     flock::set_blocking(false);
-    flock::set_ccas(true);
   }
   void TearDown() override {
     chaos::reset();
     flock::set_blocking(false);
-    flock::set_ccas(true);
     flock::epoch_manager::instance().flush();
   }
 };
@@ -84,13 +84,11 @@ struct trylock_state {
   std::unique_ptr<inner> s;
 };
 
-sched::scenario make_trylock_scenario(bool ccas,
-                                      std::shared_ptr<trylock_state> st) {
+sched::scenario make_trylock_scenario(std::shared_ptr<trylock_state> st) {
   sched::scenario sc;
-  sc.name = ccas ? "trylock_handoff_ccas" : "trylock_handoff_noccas";
-  sc.setup = [st, ccas] {
+  sc.name = "trylock_handoff";
+  sc.setup = [st] {
     flock::set_blocking(false);
-    flock::set_ccas(ccas);
     st->s = std::make_unique<trylock_state::inner>();
     st->s->x.init(0);
   };
@@ -129,27 +127,22 @@ sched::run_options trylock_filter() {
   return o;
 }
 
-TEST_F(ScheduleTest, TrylockHandoffExhaustiveBothCcasModes) {
-  for (bool ccas : {false, true}) {
-    auto st = std::make_shared<trylock_state>();
-    sched::scenario sc = make_trylock_scenario(ccas, st);
-    sched::explore_options o;
-    o.preemption_bound = 2;
-    o.run = trylock_filter();
-    o.failure_check = test_failed;
-    sched::explore_stats stats = sched::explore(sc, o);
-    // The acceptance criterion: full enumeration, no truncation, and the
-    // DFS's prefix-determinism check clean (same choices => same enabled
-    // sets, i.e. recorded schedule strings are trustworthy).
-    EXPECT_FALSE(stats.truncated) << sc.name;
-    EXPECT_FALSE(stats.nondeterminism) << sc.name;
-    EXPECT_GE(stats.schedules_at_max_bound, 25u) << sc.name;
-    if (::testing::Test::HasFailure()) {
-      ADD_FAILURE() << "first failing schedule in " << sc.name << ": "
-                    << stats.failure_schedule;
-      return;
-    }
-  }
+TEST_F(ScheduleTest, TrylockHandoffExhaustive) {
+  auto st = std::make_shared<trylock_state>();
+  sched::scenario sc = make_trylock_scenario(st);
+  sched::explore_options o;
+  o.preemption_bound = 2;
+  o.run = trylock_filter();
+  o.failure_check = test_failed;
+  sched::explore_stats stats = sched::explore(sc, o);
+  // The acceptance criterion: full enumeration, no truncation, and the
+  // DFS's prefix-determinism check clean (same choices => same enabled
+  // sets, i.e. recorded schedule strings are trustworthy).
+  EXPECT_FALSE(stats.truncated);
+  EXPECT_FALSE(stats.nondeterminism);
+  EXPECT_GE(stats.schedules_at_max_bound, 25u);
+  if (::testing::Test::HasFailure())
+    ADD_FAILURE() << "first failing schedule: " << stats.failure_schedule;
 }
 
 // Compose kills with schedules: "thread dies at step k of schedule S" is
@@ -159,7 +152,7 @@ TEST_F(ScheduleTest, TrylockHandoffExhaustiveBothCcasModes) {
 // replay must be harmless — the same exact-state assertions hold.
 TEST_F(ScheduleTest, TrylockHandoffExhaustiveWithKills) {
   auto st = std::make_shared<trylock_state>();
-  sched::scenario sc = make_trylock_scenario(/*ccas=*/true, st);
+  sched::scenario sc = make_trylock_scenario(st);
   sc.name = "trylock_handoff_kills";
   sched::explore_options o;
   o.preemption_bound = 1;
@@ -200,7 +193,6 @@ sched::scenario make_nested_scenario(std::shared_ptr<nested_state> st) {
   sc.name = "nested_reuse_handoff";
   sc.setup = [st] {
     flock::set_blocking(false);
-    flock::set_ccas(true);
     st->s = std::make_unique<nested_state::inner>();
     st->s->x.init(0);
     flock::epoch_manager::instance().flush();
@@ -275,6 +267,87 @@ TEST_F(ScheduleTest, NestedReuseHandoffExhaustiveWithKills) {
     ADD_FAILURE() << "first failing schedule: " << stats.failure_schedule;
 }
 
+// --- scenario 1c: two runs of one log commit the same slots ----------------
+//
+// A commit reads its slot and skips the CAS when the slot is already full
+// (compare-and-compare-and-swap, log.hpp); log.commit.pre sits between
+// that pre-check and the CAS. Two threads replay one log, as two runs of
+// one thunk do, each proposing its own value for every slot. A run whose
+// pre-check saw the slot empty can lose the CAS to the other run and must
+// then adopt the winner's value from the failed CAS. On every schedule
+// both runs agree on every slot, exactly one run is first per slot and
+// the agreed value is that run's proposal; across the exploration at
+// least one commit adopts through a failed CAS.
+struct commit_state {
+  static constexpr int kSlots = 3;
+  flock::log_block* head = nullptr;
+  uint64_t seen[2][kSlots] = {};
+  bool first[2][kSlots] = {};
+  int cas_adoptions[2] = {0, 0};
+};
+
+uint64_t commit_proposal(int t, int i) {
+  return static_cast<uint64_t>(100 * (t + 1) + i);
+}
+
+TEST_F(ScheduleTest, LogCommitPreCheckRaceExhaustive) {
+  auto st = std::make_shared<commit_state>();
+  uint64_t adoption_schedules = 0;
+  sched::scenario sc;
+  sc.name = "log_commit_race";
+  sc.setup = [st] {
+    *st = commit_state{};
+    st->head = flock::pool_new<flock::log_block>();
+  };
+  for (int t = 0; t < 2; t++) {
+    sc.threads.push_back([st, t] {
+      flock::tls_log() = {st->head, 0};
+      for (int i = 0; i < commit_state::kSlots; i++) {
+        // What the commit's pre-check will read: the scheduler switches
+        // threads only at yield points, and there is none in between.
+        const bool empty =
+            st->head->entries[i].v.load() == flock::kLogEmpty;
+        auto [v, first] = flock::commit_raw(commit_proposal(t, i));
+        st->seen[t][i] = v;
+        st->first[t][i] = first;
+        if (empty && !first) st->cas_adoptions[t]++;
+      }
+      flock::tls_log() = {};
+    });
+  }
+  sc.on_final = [st, &adoption_schedules](const sched::run_report& rep) {
+    for (int i = 0; i < commit_state::kSlots; i++) {
+      EXPECT_EQ(st->seen[0][i], st->seen[1][i])
+          << "slot " << i << " " << rep.schedule_string();
+      EXPECT_NE(st->first[0][i], st->first[1][i])
+          << "slot " << i << " " << rep.schedule_string();
+      const int winner = st->first[0][i] ? 0 : 1;
+      EXPECT_EQ(st->seen[0][i], commit_proposal(winner, i))
+          << "slot " << i << " " << rep.schedule_string();
+    }
+    if (st->cas_adoptions[0] + st->cas_adoptions[1] > 0) adoption_schedules++;
+    flock::pool_delete(st->head);
+  };
+  sc.fingerprint = [st] {
+    std::string f;
+    for (int i = 0; i < commit_state::kSlots; i++)
+      f += st->first[0][i] ? '0' : '1';
+    return f + "/" + std::to_string(st->cas_adoptions[0]) + "," +
+           std::to_string(st->cas_adoptions[1]);
+  };
+  sched::explore_options o;
+  o.preemption_bound = 2;
+  o.run.point_prefixes = {"log.commit.pre"};
+  o.failure_check = test_failed;
+  sched::explore_stats stats = sched::explore(sc, o);
+  EXPECT_FALSE(stats.truncated);
+  EXPECT_FALSE(stats.nondeterminism);
+  EXPECT_GE(stats.schedules_at_max_bound, 10u);
+  EXPECT_GT(adoption_schedules, 0u);
+  if (::testing::Test::HasFailure())
+    ADD_FAILURE() << "first failing schedule: " << stats.failure_schedule;
+}
+
 // --- scenario 2/3: grow publication ordering --------------------------------
 //
 // The controller pre-installs a 64->128 grow (the 64th insert's policy
@@ -323,7 +396,6 @@ sched::scenario make_grow_scenario(std::shared_ptr<grow_state> st,
   sc.name = name;
   sc.setup = [st, setup_churn_pairs] {
     flock::set_blocking(false);
-    flock::set_ccas(true);
     st->ra = st->rb = false;
     st->peek.reset();
     st->ht = std::make_unique<flock_ds::hashtable<long, long>>(64);
@@ -433,7 +505,6 @@ TEST_F(ScheduleTest, GrowAllocFailDeferralComposedWithSchedules) {
   sc.name = "grow_alloc_fail";
   sc.setup = [st, &deferrals_before] {
     flock::set_blocking(false);
-    flock::set_ccas(true);
     chaos::reset();
     st->ht = std::make_unique<flock_ds::hashtable<long, long>>(64);
     deferrals_before = st->ht->resize_deferrals();
@@ -481,6 +552,74 @@ TEST_F(ScheduleTest, GrowAllocFailDeferralComposedWithSchedules) {
     ADD_FAILURE() << "first failing schedule: " << stats.failure_schedule;
 }
 
+// --- scenario 3b: a late replay of a grow unit ------------------------------
+//
+// A grow unit's link stores (the `next` stores that chain its copies onto
+// the successor buckets) take their expected values from the unit's log.
+// A helper that validated the unit's descriptor and then stalled replays
+// the unit after it finished — after the successor bucket went live and
+// took an insert. Its logged expected values are stale, so every replayed
+// link store fails; a store that read its expected value unlogged would
+// succeed and unlink the insert. Thread 0 inserts a key that sorts before
+// a resident key of its old bucket's split side (so its insert rewrites a
+// link the unit stores), migrating that unit first; thread 1 inserts
+// another key of the same old bucket and so helps the unit whenever it
+// finds it held. The filter lets thread 1 stall between validating its
+// help and running it while thread 0 finishes the unit and its insert.
+TEST_F(ScheduleTest, GrowUnitLateReplayAfterSuccessorInsertExhaustive) {
+  using table_t = flock_ds::hashtable<long, long>;
+  // Both keys split from old bucket u of resident key 5; ka lands on 5's
+  // side of the split and sorts before it (keys are signed).
+  const uint64_t h5 = table_t::hash_of(5);
+  long ka = 0, kb = 0;
+  for (long k = -1; ka == 0 || kb == 0; k--) {
+    const uint64_t h = table_t::hash_of(k);
+    if (ka == 0 && (h & 127) == (h5 & 127))
+      ka = k;
+    else if (kb == 0 && (h & 63) == (h5 & 63))
+      kb = k;
+  }
+  auto st = std::make_shared<grow_state>();
+  uint64_t helps_run0 = 0;
+  uint64_t helped_schedules = 0;
+  sched::scenario sc;
+  sc.name = "grow_late_replay";
+  sc.setup = [st, &helps_run0] {
+    flock::set_blocking(false);
+    st->ra = st->rb = false;
+    st->ht = std::make_unique<table_t>(64);
+    for (long k = 0; k < 64; k++) st->ht->insert(k, k);
+    ASSERT_EQ(st->ht->bucket_count(), 128u);  // successor installed
+    helps_run0 = flock::stats().helps_run;
+  };
+  sc.threads.push_back([st, ka] { st->ra = st->ht->insert(ka, ka); });
+  sc.threads.push_back([st, kb] { st->rb = st->ht->insert(kb, kb); });
+  sc.on_final = [&, st](const sched::run_report& rep) {
+    if (flock::stats().helps_run != helps_run0) helped_schedules++;
+    EXPECT_TRUE(st->ra) << rep.schedule_string();
+    EXPECT_TRUE(st->rb) << rep.schedule_string();
+    EXPECT_EQ(st->ht->find(ka), std::optional<long>(ka))
+        << "lost key " << ka << " " << rep.schedule_string();
+    assert_grow_final(st.get(), rep, {ka, kb});
+  };
+  sc.fingerprint = [st] {
+    return std::to_string(st->ht->bucket_count()) + "/" +
+           std::to_string(st->ht->size());
+  };
+  sched::explore_options o;
+  o.preemption_bound = 2;
+  o.run.point_prefixes = {"lock.install.post", "lock.help.pre_run"};
+  o.failure_check = test_failed;
+  sched::explore_stats stats = sched::explore(sc, o);
+  EXPECT_FALSE(stats.truncated);
+  EXPECT_FALSE(stats.nondeterminism);
+  EXPECT_GE(stats.schedules_at_max_bound, 10u);
+  // Some schedules run thread 1's help, the late replay among them.
+  EXPECT_GT(helped_schedules, 0u);
+  if (::testing::Test::HasFailure())
+    ADD_FAILURE() << "first failing schedule: " << stats.failure_schedule;
+}
+
 // --- scenario 4: epoch retire vs. announce ----------------------------------
 //
 // The reader announces, loads a shared pointer, then dereferences; the
@@ -508,7 +647,6 @@ TEST_F(ScheduleTest, EpochRetireVsAnnounceExhaustiveWithKills) {
   sc.name = "epoch_retire_announce";
   sc.setup = [st] {
     flock::set_blocking(false);
-    flock::set_ccas(true);
     st->loaded = nullptr;
     st->observed.reset();
     st->reader_done = false;
@@ -575,7 +713,7 @@ TEST_F(ScheduleTest, EpochRetireVsAnnounceExhaustiveWithKills) {
 
 TEST_F(ScheduleTest, RecordedSchedulesReplayDeterministically) {
   auto st = std::make_shared<trylock_state>();
-  sched::scenario sc = make_trylock_scenario(/*ccas=*/true, st);
+  sched::scenario sc = make_trylock_scenario(st);
   sched::explore_options o;
   o.preemption_bound = 2;
   o.run = trylock_filter();
@@ -649,7 +787,7 @@ TEST_F(ScheduleTest, KillSchedulesReplayDeterministically) {
 // scenarios in the binary still explore normally.
 TEST_F(ScheduleTest, EnvVarReplayPinsOneSchedule) {
   auto st = std::make_shared<trylock_state>();
-  sched::scenario sc = make_trylock_scenario(/*ccas=*/true, st);
+  sched::scenario sc = make_trylock_scenario(st);
   sched::explore_options o;
   o.preemption_bound = 1;
   o.run = trylock_filter();
@@ -663,7 +801,8 @@ TEST_F(ScheduleTest, EnvVarReplayPinsOneSchedule) {
   EXPECT_EQ(one.schedules, 1u);
 
   // A differently named scenario ignores the pin and explores fully.
-  sched::scenario other = make_trylock_scenario(/*ccas=*/false, st);
+  sched::scenario other = make_trylock_scenario(st);
+  other.name = "trylock_handoff_unpinned";
   sched::explore_stats many = sched::explore(other, o);
   EXPECT_GT(many.schedules, 1u);
   ::unsetenv("FLOCK_SCHEDULE");
@@ -674,7 +813,7 @@ TEST_F(ScheduleTest, EnvVarReplayPinsOneSchedule) {
 
 TEST_F(ScheduleTest, SeededWalksAreBitIdenticallyReproducible) {
   auto st = std::make_shared<trylock_state>();
-  sched::scenario sc = make_trylock_scenario(/*ccas=*/true, st);
+  sched::scenario sc = make_trylock_scenario(st);
   sched::walk_options o;
   o.run = trylock_filter();
   o.failure_check = test_failed;
@@ -744,7 +883,6 @@ sched::scenario make_plain_read_scenario(bool blocking,
   sc.name = name;
   sc.setup = [st, blocking] {
     flock::set_blocking(blocking);
-    flock::set_ccas(true);
     st->r1.reset();
     st->r2.reset();
     // 8 keys in a 64-bucket table: far below the grow threshold, so the
@@ -885,7 +1023,6 @@ sched::scenario make_vread_migration_scenario(
   sc.name = name;
   sc.setup = [st, blocking] {
     flock::set_blocking(blocking);
-    flock::set_ccas(true);
     st->r1.reset();
     st->r2.reset();
     st->ht = std::make_unique<flock_ds::hashtable<long, long>>(64);
@@ -979,7 +1116,6 @@ sched::scenario make_store_read_scenario(bool blocking,
   sc.name = name;
   sc.setup = [st, blocking] {
     flock::set_blocking(blocking);
-    flock::set_ccas(true);
     st->r1.reset();
     st->r2.reset();
     st->r3.reset();
