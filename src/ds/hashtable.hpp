@@ -45,8 +45,10 @@
 //    reach. Every step is idempotent, so helpers can replay the thunk
 //    safely. The source chains are frozen while the unit holds their
 //    locks and forever after, so the unit logs only its flag checks
-//    (paper §6, constants): it walks the chains unlogged and retires
-//    each one under a single log slot.
+//    (paper §6, constants): it walks the chains unlogged, allocates the
+//    copies back to front with each `next` set at construction (so the
+//    successor bucket heads are its only stores), and retires all its
+//    source chains under a single log slot.
 //  * Updaters re-validate the forwarded flag inside their own critical
 //    section (same lock), so a forwarded bucket is frozen forever; any
 //    operation that lands on one chases `table->next`. Updaters that
@@ -71,6 +73,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <optional>
 #include <type_traits>
 #include <utility>
@@ -542,23 +545,39 @@ class hashtable {
     return unit_count(t, nt) - 1;
   }
 
-  /// Append an idempotent copy of chain node c after *tl, advancing *tl.
-  static void append_copy(chain_head*& tl, node* c) {
-    node* copy = flock::allocate<node>(c->k, c->v, nullptr);
-    tl->next = copy;
-    tl = copy;
+  /// Copy the frozen chain from `c`, keeping the nodes `keep` selects.
+  /// Copies are idempotent allocations made back to front, each
+  /// constructed with its successor copy as `next`, so a copied chain
+  /// costs one log slot per node and no link stores; the caller publishes
+  /// the returned head. The walk reads the frozen chain unlogged (see
+  /// migrate_unit_grow); recursion depth is the chain length, about one
+  /// node at load factor ~1.
+  template <class Keep>
+  static node* copy_chain(node* c, Keep keep) {
+    if (c == nullptr) return nullptr;
+    node* rest = copy_chain(c->next.read_raw(), keep);
+    return keep(c) ? flock::allocate<node>(c->k, c->v, rest) : rest;
   }
 
-  /// Retire a forwarded bucket's frozen chain, under one log slot: the
-  /// run that commits it retires every node, walking the chain unlogged
-  /// (it is frozen, see migrate_unit_grow). Only once the forwarded flag
-  /// is set: until then a reader that enters a later epoch can still walk
-  /// into the chain, and an earlier retire would let reclamation free
-  /// nodes under that walk (the unlink-then-retire order every other
+  /// Copy the merge of two frozen sorted chains with disjoint keys, back
+  /// to front like copy_chain.
+  static node* merge_copy(node* a, node* b) {
+    if (a == nullptr || (b != nullptr && b->k < a->k)) std::swap(a, b);
+    if (a == nullptr) return nullptr;  // both chains exhausted
+    node* rest = merge_copy(a->next.read_raw(), b);
+    return flock::allocate<node>(a->k, a->v, rest);
+  }
+
+  /// Retire forwarded buckets' frozen chains, all under one log slot: the
+  /// run that commits it retires every node, walking the chains unlogged
+  /// (they are frozen, see migrate_unit_grow). Only once the forwarded
+  /// flags are set: until then a reader that enters a later epoch can
+  /// still walk into a chain, and an earlier retire would let reclamation
+  /// free nodes under that walk (the unlink-then-retire order every other
   /// retire in the table follows).
-  static void retire_chain(const bucket* s) {
-    flock::idem_retire_list(s->next.read_raw(),
-                            [](node* c) { return c->next.read_raw(); });
+  static void retire_chains(std::initializer_list<node*> heads) {
+    flock::idem_retire_lists(heads,
+                             [](node* c) { return c->next.read_raw(); });
   }
 
   /// Migrate unit u of the t -> nt resize. Returns after the unit's old
@@ -582,28 +601,32 @@ class hashtable {
       if (s->removed.load()) return false;  // lost the race
       // The flag load above is the one read whose value runs of this
       // thunk can disagree on, so it is the only read logged here (the
-      // link stores still log their expected values). The chain is frozen
+      // head stores still log their expected values). The chain is frozen
       // from the moment this thunk's descriptor is installed on s->lck,
       // and forever after: every update to the bucket takes this same
       // lock and re-checks the flag under it, and the flag is set below,
       // before the unlock. So every run, however late, walks the same
       // nodes and the walk reads them unlogged (paper §6, constants).
-      // Allocation and the link stores stay idempotent, so helper
-      // replays are safe.
-      // Copies are appended directly onto the successor buckets (the
-      // forward walk preserves sorted order, no side buffers): nothing
-      // can observe those chains until the forwarded flag below is set,
-      // because each successor bucket has exactly one source bucket and
-      // traffic to it only begins at that source's flag.
-      chain_head* tail[2] = {lo, hi};
-      for (node* c = s->next.read_raw(); c != nullptr; c = c->next.read_raw())
-        append_copy(tail[(hash_of(c->k) & bit) ? 1 : 0], c);
+      // Allocation and the head stores stay idempotent, so helper replays
+      // are safe. Each half of the split is copied in order (sorted) and
+      // published with one store to its successor bucket; an empty half
+      // needs none, the bucket starts empty. Nothing can observe those
+      // chains until the forwarded flag below is set, because each
+      // successor bucket has exactly one source bucket and traffic to it
+      // only begins at that source's flag.
+      node* first = s->next.read_raw();
+      node* lo_head = copy_chain(
+          first, [bit](node* c) { return (hash_of(c->k) & bit) == 0; });
+      node* hi_head = copy_chain(
+          first, [bit](node* c) { return (hash_of(c->k) & bit) != 0; });
+      if (lo_head != nullptr) lo->next = lo_head;
+      if (hi_head != nullptr) hi->next = hi_head;
       // Protocol window: copies live, forwarded flag not yet published. A
       // kill here is the paper's dead-holder scenario mid-migration —
       // helpers must replay this thunk to completion.
       FLOCK_FAULTPOINT("ht.grow.pre_publish");
       s->removed = true;  // forwarded: published after the copies are live
-      retire_chain(s);
+      retire_chains({first});
       return true;
     });
     return did ? 1 : 0;
@@ -637,48 +660,31 @@ class hashtable {
     bool did = acquire(lo->lck, [=] {
       if (lo->removed.load()) return false;  // lost the race
       return acquire(hi->lck, [=] {
-        if (hi->removed.load()) return false;  // cannot happen alone; belt
-        // Both chains are frozen, as in a grow unit: constant from the
-        // moment each lock holds this unit's descriptor, and forever after
-        // (both flags are set below, before either unlock). The inner
-        // thunk runs only once hi->lck is installed — a failed inner
-        // acquisition never installs and never walks — so every run
-        // walks the same nodes and reads them unlogged; only the two flag
-        // loads are logged. The chains hold disjoint keys (different
-        // old-bucket residues of the same hash), all of which land in
-        // dst, so a standard sorted merge preserves the chain invariant.
-        // head/tail are plain locals — deterministic across helper
-        // replays because the frozen chains fix the walk and idempotent
-        // allocation fixes the copy identities — so the only logged
-        // stores link shared copy nodes through their unpublished next
-        // fields.
+        // hi's flag needs no check: only this unit sets it, inside this
+        // thunk, and the one descriptor whose logged lo check saw false is
+        // the only one that ever gets here (lo's flag is set before lo's
+        // unlock). Both chains are frozen, as in a grow unit: constant
+        // from the moment each lock holds this unit's descriptor, and
+        // forever after (both flags are set below, before either unlock).
+        // The inner thunk runs only once hi->lck is installed — a failed
+        // inner acquisition never installs and never walks — so every run
+        // walks the same nodes and reads them unlogged; lo's flag load is
+        // the unit's one logged read. The chains hold disjoint keys
+        // (different old-bucket residues of the same hash), all of which
+        // land in dst, so a standard sorted merge preserves the chain
+        // invariant. The merged copy is built privately (back to front,
+        // each copy linked at construction), so the only logged store is
+        // its publish.
         node* a = lo->next.read_raw();
         node* b = hi->next.read_raw();
-        node* head = nullptr;
-        node* tail = nullptr;
-        auto take = [&](node*& src) {
-          node* copy = flock::allocate<node>(src->k, src->v, nullptr);
-          if (head == nullptr)
-            head = copy;
-          else
-            tail->next = copy;
-          tail = copy;
-          src = src->next.read_raw();
-        };
-        while (a != nullptr || b != nullptr) {
-          if (b == nullptr || (a != nullptr && a->k < b->k))
-            take(a);
-          else
-            take(b);
-        }
+        node* head = merge_copy(a, b);
         // Protocol window: merged chain built privately, single-store
         // publish not yet issued.
         FLOCK_FAULTPOINT("ht.merge.pre_publish");
         dst->next = head;     // single publish of the whole merge
         lo->removed = true;   // flags strictly after the publish: a set
         hi->removed = true;   // flag always finds dst fully merged
-        retire_chain(lo);
-        retire_chain(hi);
+        retire_chains({a, b});
         return true;
       });
     });

@@ -19,8 +19,10 @@
 // returning null, or an injected `alloc.refill` / `alloc.array` fault
 // (chaos/faultpoint.hpp) — returns **nullptr** and bumps the process-wide
 // `alloc_failures()` counter. No constructor runs, no pool bookkeeping
-// moves, and nothing is ever dereferenced on the failure path; callers
-// that cannot tolerate null (most of the runtime: descriptors, nodes)
+// moves, and nothing is ever dereferenced on the failure path. The lock
+// path cannot continue without its descriptor or its next log block, so
+// those two builders abort with a one-line message (out_of_memory below),
+// as the thread cap does; other callers that cannot tolerate null (nodes)
 // inherit whatever their context does with null, while callers with a
 // degraded mode (the hashtable's resize trigger) check and defer. Before
 // this contract, a null slab return was silent UB (the placement new ran
@@ -30,6 +32,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <random>
@@ -47,6 +50,15 @@ namespace detail {
 // Allocation failures observed (null slab/array returns, injected or
 // real). Monotonic, like the per-thread stat counters.
 inline std::atomic<uint64_t> g_alloc_failures{0};
+
+/// Aborts: an allocation the lock path cannot do without (a descriptor,
+/// an overflow log block) returned null. Out of line and cold, like the
+/// thread-cap abort.
+[[noreturn, gnu::cold, gnu::noinline]] inline void out_of_memory(
+    const char* what) {
+  std::fprintf(stderr, "[flock] out of memory allocating a %s\n", what);
+  std::abort();
+}
 
 /// Untyped per-thread free-list pool for blocks of a fixed size/alignment.
 /// All state is static and zero-initialized, so access needs no singleton

@@ -9,7 +9,9 @@
 // The first log block (one cache line: 7 slots and the next pointer) is
 // embedded, so acquiring a lock costs exactly one pool allocation. Inside
 // a thunk, creation is an idempotent allocation: each run builds a
-// candidate and commits its pointer to the enclosing log.
+// candidate and commits its pointer to the enclosing log. A nested
+// try_lock commits its candidate together with the lock word its install
+// CAS expects (`expected`), so one slot carries both (lock.hpp).
 #pragma once
 
 #include <atomic>
@@ -30,8 +32,13 @@ struct descriptor {
   std::atomic<bool> helped{false};  // §6 reuse optimization (see lock.hpp)
   // Creator's announced epoch. Atomic because help() reads it from a
   // descriptor that may already be recycled and re-stamped (lock.hpp);
-  // relaxed on both sides, see create_descriptor_ctx.
+  // relaxed on both sides, see new_descriptor_ctx.
   std::atomic<int64_t> epoch{-1};
+  // Nested try_lock only: the lock word its install CAS expects. The run
+  // that builds the candidate writes it before committing the candidate's
+  // pointer, so every run that adopts the pointer reads the same word (the
+  // commit's release/acquire orders it).
+  uint64_t expected = 0;
   thunk fn;
 #ifdef FLOCK_DEBUG_API
   // The descriptor whose thunk was running when this one was created —
@@ -48,7 +55,7 @@ struct descriptor {
   descriptor* dbg_parent = nullptr;
 #endif
   // Owner-private link of the deferred nested-retire list (lock.hpp,
-  // retire_logged). Sits in the tail padding: sizeof is unchanged.
+  // retire_nested). Sits in the tail padding: sizeof is unchanged.
   descriptor* deferred_next = nullptr;
 
   // User-provided on purpose: a defaulted constructor would make
@@ -68,7 +75,7 @@ struct descriptor {
     // block, so it must see the block's initialized contents before
     // freeing it.
     // mo: acquire (both loads) — pairs with the acq_rel append CAS in
-    // log.hpp's log_bump.
+    // log.hpp's log_advance.
     log_block* b = head.next.load(std::memory_order_acquire);
     while (b != nullptr) {
       log_block* nxt = b->next.load(std::memory_order_acquire);  // mo: ditto
@@ -102,17 +109,18 @@ static_assert(sizeof(descriptor) == 4 * kCacheLine);
 
 namespace detail {
 
-/// Idempotent descriptor creation (Alg. 3 createDescriptor) with the
-/// caller's context: every run of the enclosing thunk builds a candidate;
-/// the first to commit wins and losers free theirs (they were never
-/// published).
+/// Build a descriptor for thunk `f`, stamped with the creator's epoch:
+/// the one place a descriptor is allocated. Aborts when the pool cannot
+/// supply one (allocator.hpp's failure contract).
 template <class F>
-descriptor* create_descriptor_ctx(thread_context* c, F&& f) {
+descriptor* new_descriptor_ctx(thread_context* c, F&& f) {
   c->stat_created++;
-  descriptor* mine = pool_new_ctx<descriptor>(c);
-  mine->fn.emplace(std::forward<F>(f));
+  descriptor* d = pool_new_ctx<descriptor>(c);
+  if (d == nullptr) [[unlikely]]
+    out_of_memory("descriptor");
+  d->fn.emplace(std::forward<F>(f));
 #ifdef FLOCK_DEBUG_API
-  mine->dbg_parent =
+  d->dbg_parent =
       c->dbg_run_depth > 0 && c->dbg_run_depth <= thread_context::kDbgRunDepth
           ? static_cast<descriptor*>(c->dbg_run_stack[c->dbg_run_depth - 1])
           : nullptr;
@@ -123,13 +131,28 @@ descriptor* create_descriptor_ctx(thread_context* c, F&& f) {
   // mo: relaxed — the stamp needs no ordering of its own: the lock-word
   // CAS that installs this descriptor publishes it, and help() reads it
   // only after the acquire load of that word.
-  mine->epoch.store(e >= 0 ? e : epoch_manager::instance().current_epoch(),
-                    std::memory_order_relaxed);
+  d->epoch.store(e >= 0 ? e : epoch_manager::instance().current_epoch(),
+                 std::memory_order_relaxed);
+  return d;
+}
+
+/// Commit this run's candidate (null allowed) to the enclosing log and
+/// adopt whatever the slot holds: the first run to commit wins, losers
+/// free theirs (they were never published).
+inline descriptor* commit_descriptor_ctx(thread_context* c,
+                                         descriptor* mine) {
   auto [committed, first] =
       commit_raw_ctx(c, reinterpret_cast<uint64_t>(mine));
   if (first) return mine;
-  pool_delete_ctx(c, mine);
+  if (mine != nullptr) pool_delete_ctx(c, mine);
   return reinterpret_cast<descriptor*>(committed);
+}
+
+/// Idempotent descriptor creation (Alg. 3 createDescriptor) with the
+/// caller's context: one log slot inside a thunk, a plain build outside.
+template <class F>
+descriptor* create_descriptor_ctx(thread_context* c, F&& f) {
+  return commit_descriptor_ctx(c, new_descriptor_ctx(c, std::forward<F>(f)));
 }
 
 }  // namespace detail

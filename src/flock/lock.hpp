@@ -13,13 +13,22 @@
 //
 // Log-slot discipline (this is what keeps nested locks correct): every run
 // of an enclosing thunk must consume the *same* log slots in the same
-// order. The deterministic prefix of try_lock — logged state load,
-// idempotent descriptor allocation, logged re-load, logged done-load, and
-// the branch-dependent (but branch-deterministic) retire commit — does.
-// Helping and unlocking consume NO enclosing slots: they use raw
-// effects-once CASes, which are inherently idempotent because the lock
-// word's tag is monotonic while any stale referencer exists (descriptor
-// reuse is epoch-gated, see retire paths below).
+// order. A nested try_lock consumes two, on every branch:
+//   1. the candidate descriptor, or null when the run read the lock held.
+//      The candidate carries the lock word its install CAS expects
+//      (descriptor::expected), written before the commit, so every run
+//      installs from the one committed word;
+//   2. the outcome `word == d|locked || d->done`, read after the install
+//      CAS (skipped when slot 1 holds null). Its first committer owns d's
+//      retire (retire_nested), so exactly one run retires d.
+// A nested strict_lock commits its descriptor once, then per iteration
+// the lock word and, when that word was free, the outcome. Helping and
+// unlocking consume NO enclosing slots: they use raw effects-once CASes,
+// which are inherently idempotent because the lock word's tag is
+// monotonic while any stale referencer exists (descriptor reuse is
+// epoch-gated, see retire paths below). The same monotonic tag makes a
+// late run's install CAS from the committed word fail once the word has
+// moved on, so a replay cannot re-install a released descriptor.
 //
 // Compare-and-compare-and-swap (§6 "Avoiding CASes"): log commits and
 // lock-word CASes re-read their word and skip a CAS that would fail. The
@@ -78,30 +87,32 @@
 // not for free), and re-validate the lock word after descriptor creation —
 // the long pole between the entry read and the install CAS — so an install
 // race costs a pool push instead of a doomed tag-bump CAS plus logged
-// reloads. Nested acquisitions keep the fully logged deterministic
-// structure, since there every branch must consume identical log slots
-// across runs.
+// reloads. Nested acquisitions keep the two-slot deterministic structure
+// above, since there every branch must consume identical log slots across
+// runs; they run out of line, so a call site's inlined code is the
+// top-level and blocking paths only.
 //
 // The §6 reuse shortcut covers every nesting depth. When this thread runs
 // its own top-level descriptor (owner_run in the thread context), the run
-// of the enclosing thunk that wins a nested descriptor's logged retire
-// commit (retire_logged) parks it on the thread's deferred list instead of
-// epoch-retiring it. Other threads reach a nested descriptor in two ways
-// only: through its own lock word, covered by its own helped flag and the
-// hand-off above; and through the logs of its ancestors, which only
-// helpers read — after setting that ancestor's helped flag. So after the
-// top-level unlock, retire_installed_toplevel pool-reuses the whole chain
-// if the top-level descriptor and every deferred one read helped == false,
-// and epoch-retires all of them otherwise. Every nested descriptor was
-// released (or never installed) before its retire commit, so each
-// helped-read follows that descriptor's own unlock access in S, as the
-// hand-off requires. help() clears owner_run while it runs someone else's
-// descriptor, so that descriptor's nested retires go through the epoch.
+// of the enclosing thunk that first commits a nested acquisition's outcome
+// (retire_nested) parks its descriptor on the thread's deferred list
+// instead of epoch-retiring it. Other threads reach a nested descriptor in
+// two ways only: through its own lock word, covered by its own helped flag
+// and the hand-off above; and through the logs of its ancestors, which
+// only helpers read — after setting that ancestor's helped flag. So after
+// the top-level unlock, retire_installed_toplevel pool-reuses the whole
+// chain if the top-level descriptor and every deferred one read helped ==
+// false, and epoch-retires all of them otherwise. Every nested descriptor
+// was released (or never installed) before the run that owns it retires
+// it, so each helped-read follows that descriptor's own unlock access in
+// S, as the hand-off requires. help() clears owner_run while it runs
+// someone else's descriptor, so that descriptor's nested retires go
+// through the epoch.
 //
 // A killed owner — parked forever inside its top-level acquisition —
 // therefore strands its top-level descriptor and its deferred list, plus
 // the descriptor of each nested acquisition still in progress on its
-// stack (no run of the parent has reached its retire commit yet).
+// stack (no run of the parent has retired it yet).
 // Everything else it touched is epoch-retired and pinned only by its
 // announcement.
 #pragma once
@@ -336,17 +347,14 @@ inline bool help_throttled(thread_context* c, lock_word& st,
 }
 
 /// Retire a descriptor created by a NESTED acquisition (top-level
-/// acquisitions use retire_installed_toplevel below, so c->log.block !=
-/// nullptr here). Two cases: the descriptor was installed and run, or its
-/// install CAS lost and it was never on the lock. Either way replays of
-/// the enclosing thunk can still reach it through the log, and stale runs
-/// of an installed descriptor may still hold the pointer. The retire
-/// decision goes through the log (one slot) so exactly one run of the
-/// enclosing thunk performs it. That run defers it to the enclosing
-/// top-level acquisition when it is the owner's run (see header), and
-/// epoch-retires otherwise.
-inline void retire_logged(thread_context* c, descriptor* d) {
-  if (!commit_raw_ctx(c, 1).second) return;
+/// acquisitions use retire_installed_toplevel below). Called only by the
+/// run of the enclosing thunk that first committed the acquisition's
+/// outcome, after that run released d if d was installed, so exactly one
+/// run retires it; replays of the enclosing thunk can still reach it
+/// through the log, and stale runs of an installed descriptor may still
+/// hold the pointer. It is deferred to the enclosing top-level acquisition
+/// when this is the owner's run (see header), and epoch-retired otherwise.
+inline void retire_nested(thread_context* c, descriptor* d) {
   if (c->owner_run) {
     d->deferred_next = c->deferred;
     c->deferred = d;
@@ -418,7 +426,7 @@ bool try_lock_helping_toplevel(thread_context* c, lock_word& st, F&& f) {
     help_throttled(c, st, cur);
     return false;
   }
-  descriptor* d = create_descriptor_ctx(c, std::forward<F>(f));
+  descriptor* d = new_descriptor_ctx(c, std::forward<F>(f));
   uint64_t minev = reinterpret_cast<uint64_t>(d) | kLockedBit;
   // Re-validate after descriptor creation — the long pole between the
   // entry read and the install CAS, where install races concentrate.
@@ -444,93 +452,110 @@ bool try_lock_helping_toplevel(thread_context* c, lock_word& st, F&& f) {
   return run_owned_toplevel(c, st, d);
 }
 
+/// A nested install attempt of `d` from the packed word `expected`, which
+/// every run of the enclosing thunk must pass identically. Consumes one
+/// log slot: the outcome, true if d holds or held the lock. An attempt that
+/// lost helps whoever holds the lock now. Returns the outcome and whether
+/// this run committed it first.
+inline std::pair<bool, bool> install_nested(thread_context* c, lock_word& st,
+                                            descriptor* d,
+                                            uint64_t expected) {
+  uint64_t minev = reinterpret_cast<uint64_t>(d) | kLockedBit;
+  st.cas_raw_packed_ctx(c, expected, minev,
+                        /*precheck=*/true);  // install CAM: effects-once
+  // Chaos window (nested): install CAM issued, acquisition not yet
+  // judged. Consumes no log slots, so replays may legally diverge here.
+  FLOCK_FAULTPOINT("lock.install.post");
+  // The word first, then done: a word that moved off d|locked was released
+  // by d's unlock, which follows d's done store. If this run's CAS failed,
+  // the word had left `expected` and can never return to it (monotonic
+  // tag), so an outcome of false means d is never installed.
+  uint64_t nowv = val_of(st.read_raw_packed());
+  // mo: acquire — pairs with run_and_unlock's release, so an adopted
+  // "acquired" implies the thunk's effects of any finished run.
+  bool won = nowv == minev || d->done.load(std::memory_order_acquire);
+  auto [acquired, first] = commit_raw_ctx(c, won);
+  if (acquired == 0 && lv_locked(nowv)) {
+    // Help whoever holds the lock *now*; a fresh read keeps the helped
+    // descriptor current, and help() revalidates before running.
+    uint64_t fresh = st.read_raw_packed();
+    if (lv_locked(val_of(fresh))) help_throttled(c, st, fresh);
+  }
+  return {acquired != 0, first};
+}
+
+/// Nested try_lock: two slots of the enclosing log (see header). Helping
+/// is throttled here too — backoff spins consume no log slots, so replays
+/// may legally spin different amounts. Out of line, so the top-level and
+/// blocking paths stay the only code inlined at a try_lock call site.
+template <class F>
+[[gnu::noinline]] bool try_lock_helping_nested(thread_context* c,
+                                               lock_word& st, F&& f) {
+  uint64_t cur = st.read_raw_packed();
+  descriptor* mine = nullptr;
+  if (!lv_locked(val_of(cur))) {
+    mine = new_descriptor_ctx(c, std::forward<F>(f));
+    mine->expected = cur;
+  }
+  descriptor* d = commit_descriptor_ctx(c, mine);  // slot 1
+  if (d == nullptr) {  // some run read the lock held
+    if (lv_locked(val_of(cur))) help_throttled(c, st, cur);
+    return false;
+  }
+  auto [acquired, first] = install_nested(c, st, d, d->expected);  // slot 2
+  bool result = acquired && run_and_unlock(c, st, d);
+  if (first) retire_nested(c, d);
+  return result;
+}
+
 template <class F>
 bool try_lock_helping(thread_context* c, lock_word& st, F&& f) {
   if (c->log.block == nullptr)
     return try_lock_helping_toplevel(c, st, std::forward<F>(f));
-  // Nested: the fully logged deterministic prefix (see header comment on
-  // log-slot discipline). Helping is throttled here too — backoff spins
-  // consume no log slots, so replays may legally spin different amounts.
-  uint64_t cur = st.load_packed_ctx(c);  // logged
-  if (!lv_locked(val_of(cur))) {
-    descriptor* d =
-        create_descriptor_ctx(c, std::forward<F>(f));  // logged alloc
-    uint64_t minev = reinterpret_cast<uint64_t>(d) | kLockedBit;
-    st.cas_raw_packed_ctx(c, cur, minev,
-                          /*precheck=*/true);  // install CAM: effects-once
-    // Chaos window (nested): install CAM issued, acquisition not yet
-    // judged. Consumes no log slots, so replays may legally diverge here.
-    FLOCK_FAULTPOINT("lock.install.post");
-    uint64_t nowv = val_of(st.load_packed_ctx(c));  // logged
-    // mo: acquire — raw done-read folded into the log (one slot);
-    // pairs with run_and_unlock's release so an adopted "done" implies
-    // the thunk's effects.
-    bool d_done =
-        commit_raw_ctx(c, d->done.load(std::memory_order_acquire))
-            .first != 0;
-    if (d_done || nowv == minev) {
-      // Acquired (possibly already helped to completion).
+  return try_lock_helping_nested(c, st, std::forward<F>(f));
+}
+
+/// Nested strict_lock: one slot for the descriptor, then per iteration one
+/// for the lock word and, when that was free, one for the outcome. All
+/// logged values are identical across runs, so every run executes the same
+/// iterations (backoff spins inside help_throttled consume no log slots
+/// and may differ freely).
+template <class F>
+[[gnu::noinline]] bool strict_lock_helping_nested(thread_context* c,
+                                                  lock_word& st, F&& f) {
+  descriptor* d = create_descriptor_ctx(c, std::forward<F>(f));
+  while (true) {
+    uint64_t cur = st.load_packed_ctx(c);  // logged
+    if (lv_locked(val_of(cur))) {
+      help_throttled(c, st, cur);
+      continue;
+    }
+    auto [acquired, first] = install_nested(c, st, d, cur);
+    if (acquired) {
       bool result = run_and_unlock(c, st, d);
-      retire_logged(c, d);
+      if (first) retire_nested(c, d);
       return result;
     }
-    if (lv_locked(nowv)) {
-      // Help whoever holds the lock *now*; a fresh read keeps the helped
-      // descriptor current, and help() revalidates before running.
-      uint64_t fresh = st.read_raw_packed();
-      if (lv_locked(val_of(fresh))) help_throttled(c, st, fresh);
-    }
-    retire_logged(c, d);
-    return false;
   }
-  help_throttled(c, st, cur);
-  return false;
 }
 
 template <class F>
 bool strict_lock_helping(thread_context* c, lock_word& st, F&& f) {
+  if (c->log.block != nullptr)
+    return strict_lock_helping_nested(c, st, std::forward<F>(f));
   // §4: "by first creating the descriptor, and then putting the attempt to
   // acquire a lock into a while loop". The descriptor is created once,
-  // outside the loop, so retries consume no fresh pool traffic.
-  descriptor* d = create_descriptor_ctx(c, std::forward<F>(f));
+  // outside the loop, so retries consume no fresh pool traffic. Top level:
+  // raw reads and the install CAS's own result (nothing to keep
+  // deterministic), with throttled helping while the lock is held.
+  descriptor* d = new_descriptor_ctx(c, std::forward<F>(f));
   uint64_t minev = reinterpret_cast<uint64_t>(d) | kLockedBit;
-  if (c->log.block == nullptr) {
-    // Top level: raw reads and the install CAS's own result (nothing to
-    // keep deterministic), with throttled helping while the lock is held.
-    while (true) {
-      uint64_t cur = st.read_raw_packed();
-      if (!lv_locked(val_of(cur))) {
-        if (st.cas_raw_packed_ctx(c, cur, minev, /*precheck=*/false)) {
-          FLOCK_FAULTPOINT("lock.install.post");
-          return run_owned_toplevel(c, st, d);
-        }
-      } else {
-        help_throttled(c, st, cur);
-      }
-    }
-  }
-  // Nested: all logged values are identical across runs, so every run
-  // executes the same number of iterations (backoff spins inside
-  // help_throttled consume no log slots and may differ freely).
   while (true) {
-    uint64_t cur = st.load_packed_ctx(c);  // logged
+    uint64_t cur = st.read_raw_packed();
     if (!lv_locked(val_of(cur))) {
-      st.cas_raw_packed_ctx(c, cur, minev, /*precheck=*/true);
-      FLOCK_FAULTPOINT("lock.install.post");  // no log slots consumed
-      uint64_t nowv = val_of(st.load_packed_ctx(c));  // logged
-      // mo: acquire — same logged done-read as try_lock_helping's nested
-      // path; pairs with run_and_unlock's release.
-      bool d_done =
-          commit_raw_ctx(c, d->done.load(std::memory_order_acquire))
-              .first != 0;
-      if (d_done || nowv == minev) {
-        bool result = run_and_unlock(c, st, d);
-        retire_logged(c, d);
-        return result;
-      }
-      if (lv_locked(nowv)) {
-        uint64_t fresh = st.read_raw_packed();
-        if (lv_locked(val_of(fresh))) help_throttled(c, st, fresh);
+      if (st.cas_raw_packed_ctx(c, cur, minev, /*precheck=*/false)) {
+        FLOCK_FAULTPOINT("lock.install.post");
+        return run_owned_toplevel(c, st, d);
       }
     } else {
       help_throttled(c, st, cur);

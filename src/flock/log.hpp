@@ -27,14 +27,20 @@
 // public commit_raw / commit_value fetch the context once per call.
 //
 // Logs grow in blocks of kLogBlockEntries slots plus a next pointer, one
-// cache line (§6 "Arbitrary Length Logs"); extending the chain is itself
-// idempotent: the first run to overflow CASes a fresh block into the next
-// pointer, losers free theirs.
+// cache line (§6 "Arbitrary Length Logs"). Growth is lazy: the cursor may
+// rest one past a block's last slot, and only a commit that needs the
+// next slot moves into the next block, so a thunk that commits exactly
+// kLogBlockEntries slots never allocates one. Extending the chain is
+// itself idempotent: the first run to overflow CASes a fresh block into
+// the next pointer, losers free theirs. A block allocation that fails
+// aborts with a message (log_advance); a run cannot continue without
+// its slot.
 #pragma once
 
 #include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <initializer_list>
 #include <utility>
 
 #include "allocator.hpp"
@@ -81,14 +87,18 @@ inline uint64_t& tls_commit_count() noexcept {
 
 namespace detail {
 
-/// Move the cursor to the next slot, growing the chain idempotently.
-inline void log_bump(thread_context* c, log_cursor& cur) {
-  if (++cur.pos < kLogBlockEntries) return;
+/// Move the cursor to slot 0 of the next block, growing the chain
+/// idempotently. Out of line: only a commit past a block's last slot
+/// comes here.
+[[gnu::noinline]] inline void log_advance(thread_context* c,
+                                          log_cursor& cur) {
   // mo: acquire — pairs with the acq_rel append CAS below: a helper that
   // sees another run's block must also see its zeroed slots.
   log_block* nxt = cur.block->next.load(std::memory_order_acquire);
   if (nxt == nullptr) {
     log_block* mine = pool_new_ctx<log_block>(c);
+    if (mine == nullptr) [[unlikely]]
+      out_of_memory("log block");
     log_block* expected = nullptr;
     // mo: acq_rel — release publishes the freshly zeroed block to other
     // runs of this thunk; acquire on failure so `expected` (the winner's
@@ -112,8 +122,9 @@ inline std::pair<uint64_t, bool> commit_raw_ctx(thread_context* c,
                                                 uint64_t payload) {
   log_cursor& cur = c->log;
   if (cur.block == nullptr) return {payload, true};  // outside any lock
-  log_entry& slot = cur.block->entries[cur.pos];
-  log_bump(c, cur);
+  if (cur.pos == kLogBlockEntries) [[unlikely]]
+    log_advance(c, cur);
+  log_entry& slot = cur.block->entries[cur.pos++];
   ++c->commit_count;
 
   // Compare-and-compare-and-swap (§6): skip the CAS when already full.
@@ -173,20 +184,22 @@ void idem_retire(T* obj) {
   if (detail::commit_raw_ctx(c, 1).second) detail::epoch_retire_ctx(c, obj);
 }
 
-/// Idempotent retirement of a whole list under ONE log slot: the run that
-/// commits the flag retires every node from `head` on, following
-/// `next(node)` with unlogged reads. Only for a list that is constant for
-/// every run of the thunk (e.g. a chain frozen by a flag set under the
+/// Idempotent retirement of whole lists under ONE log slot: the run that
+/// commits the flag retires every node of each list in `heads`, following
+/// `next(node)` with unlogged reads. Only for lists that are constant for
+/// every run of the thunk (e.g. chains frozen by a flag set under the
 /// thunk's lock), so the committing run walks exactly what any other run
 /// would have.
 template <class T, class Next>
-void idem_retire_list(T* head, Next next) {
+void idem_retire_lists(std::initializer_list<T*> heads, Next next) {
   detail::thread_context* c = detail::my_ctx();
   if (!detail::commit_raw_ctx(c, 1).second) return;
-  while (head != nullptr) {
-    T* nxt = next(head);
-    detail::epoch_retire_ctx(c, head);
-    head = nxt;
+  for (T* n : heads) {
+    while (n != nullptr) {
+      T* nxt = next(n);
+      detail::epoch_retire_ctx(c, n);
+      n = nxt;
+    }
   }
 }
 

@@ -72,7 +72,7 @@ struct alignas(2 * kCacheLine) thread_context {
   uint64_t stat_helps_avoided = 0;  // throttled waits resolved without helping
   uint64_t stat_backoff_spins = 0;  // cpu_pause iterations spent backing off
   uint64_t backoff_rng = 0;    // xorshift state (lazily seeded from id)
-  // Deferred nested retires (lock.hpp, retire_logged): set while this
+  // Deferred nested retires (lock.hpp, retire_nested): set while this
   // thread runs its own top-level descriptor; the list links nested
   // descriptors through descriptor::deferred_next until that top-level
   // acquisition decides reuse or epoch retire for the whole chain.

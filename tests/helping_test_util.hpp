@@ -68,7 +68,8 @@ inline uint64_t force_one_help(probe_kind kind = probe_kind::try_probe) {
 
 /// One nest of `depth` try_locks on locks[0] (outermost) .. locks[depth-1];
 /// the innermost thunk increments x. The thunk of locks[stall_at] stalls,
-/// on the owner's run only, once everything nested inside it has returned.
+/// on the owner's run only, once everything nested inside it has returned
+/// (or, with stall_before_nest, before its nested acquisition).
 struct nest_plan {
   flock::lock* locks;
   int depth;
@@ -77,20 +78,25 @@ struct nest_plan {
   std::atomic<bool>* stalled;
   std::atomic<bool>* may_finish;
   int owner_tid;
+  bool stall_before_nest;
 };
+
+inline void stall_owner_run(const nest_plan& p) {
+  p.stalled->store(true);
+  while (!p.may_finish->load() && flock::thread_id() == p.owner_tid) {
+  }
+}
 
 inline bool run_nest(nest_plan p, int level) {
   return flock::try_lock(p.locks[level], [p, level] {
+    const bool stall_here = level == p.stall_at;
+    if (stall_here && p.stall_before_nest) stall_owner_run(p);
     if (level + 1 < p.depth) {
       run_nest(p, level + 1);
     } else {
       p.x->store(p.x->load() + 1);
     }
-    if (level == p.stall_at) {
-      p.stalled->store(true);
-      while (!p.may_finish->load() && flock::thread_id() == p.owner_tid) {
-      }
-    }
+    if (stall_here && !p.stall_before_nest) stall_owner_run(p);
     return true;
   });
 }
@@ -101,10 +107,13 @@ inline bool run_nest(nest_plan p, int level) {
 /// (<= stall_at), which must help the descriptor installed there. With
 /// `probe_nested` the probe's try_lock is itself nested inside a lock of
 /// the probe's own, so the help runs inside the probe's own top-level
-/// acquisition. Returns the final counter: 1 when the innermost section
-/// was applied exactly once.
+/// acquisition. With `stall_before_nest` the owner stalls before the
+/// nested acquisition of lock `stall_at`, so the probe's replay makes that
+/// acquisition first. Returns the final counter: 1 when the innermost
+/// section was applied exactly once.
 inline uint64_t force_nested_help(int depth, int stall_at, int probe_at,
-                                  bool probe_nested = false) {
+                                  bool probe_nested = false,
+                                  bool stall_before_nest = false) {
   flock::lock locks[3];
   auto* x = flock::pool_new<flock::mutable_<uint64_t>>();
   x->init(0);
@@ -112,8 +121,8 @@ inline uint64_t force_nested_help(int depth, int stall_at, int probe_at,
   std::atomic<bool> stalled{false};
   std::atomic<bool> may_finish{false};
   std::thread owner([&] {
-    nest_plan p{locks, depth, stall_at, x, &stalled, &may_finish,
-                flock::thread_id()};
+    nest_plan p{locks,       depth,       stall_at,          x,
+                &stalled,    &may_finish, flock::thread_id(), stall_before_nest};
     flock::with_epoch([&] { return run_nest(p, 0); });
   });
   while (!stalled.load()) {

@@ -111,6 +111,44 @@ TEST_F(ChaosTest, PoolAllocFailurePropagatesNullWithoutSideEffects) {
   EXPECT_EQ(flock::alloc_failures(), f0 + 1);
 }
 
+// The lock path cannot continue without its descriptor or the log block
+// its next commit needs, so a null from either pool aborts with a message
+// instead of being dereferenced. Each death statement runs in a fresh
+// process (threadsafe style), where the pool in question has an empty
+// free list, so the armed fault meets that pool's refill.
+TEST_F(ChaosTest, DescriptorAllocFailureAbortsWithMessage) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(([] {
+                 chaos::arm("alloc.refill", chaos::fault::alloc_fail);
+                 flock::lock l;
+                 flock::with_epoch([&] {
+                   return flock::try_lock(l, [] { return true; });
+                 });
+               }()),
+               "out of memory allocating a descriptor");
+}
+
+TEST_F(ChaosTest, LogBlockAllocFailureAbortsWithMessage) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(([] {
+                 flock::lock l;
+                 // A first acquisition leaves the descriptor pool a free
+                 // list, so the armed fault meets the log block's refill.
+                 flock::with_epoch([&] {
+                   return flock::try_lock(l, [] { return true; });
+                 });
+                 chaos::arm("alloc.refill", chaos::fault::alloc_fail);
+                 flock::with_epoch([&] {
+                   return flock::try_lock(l, [] {
+                     for (int i = 0; i <= flock::kLogBlockEntries; i++)
+                       flock::commit_value(static_cast<uint64_t>(i));
+                     return true;
+                   });
+                 });
+               }()),
+               "out of memory allocating a log block");
+}
+
 TEST_F(ChaosTest, ArrayAllocFailurePropagatesNullWithoutSideEffects) {
   const long long a0 = flock::arrays_outstanding();
   const uint64_t f0 = flock::alloc_failures();

@@ -52,6 +52,25 @@ TEST_P(LeaftreeTest, GrandparentSpliceRace) {
   set_test::concurrent_stress(s, 8, 32, 8000, 95);
 }
 
+// Log footprint of a remove whose grandparent is an internal node: the
+// nested acquisition of the parent's lock costs the grandparent's thunk 2
+// slots; the parent's thunk logs the grandparent's removed flag, the two
+// child links it validates, the sibling, the splice store's load and the
+// two retires = 7, which fits the descriptor's inline log block. Keys
+// inserted in increasing order build a right spine, so removing them from
+// the top down until two are left always splices below the tree's root.
+TEST_P(LeaftreeTest, NestedRemoveLogsNineSlots) {
+  flock_workload::leaftree_try s;
+  for (uint64_t k = 1; k <= 64; k++) ASSERT_TRUE(s.insert(k, k));
+  for (uint64_t k = 64; k >= 3; k--) {
+    const uint64_t c0 = flock::tls_commit_count();
+    ASSERT_TRUE(s.remove(k));
+    EXPECT_EQ(flock::tls_commit_count() - c0, GetParam() ? 0u : 9u) << k;
+  }
+  EXPECT_EQ(s.size(), 2u);
+  EXPECT_TRUE(s.check_invariants());
+}
+
 INSTANTIATE_TEST_SUITE_P(Modes, LeaftreeTest, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& i) {
                            return i.param ? "blocking" : "lockfree";

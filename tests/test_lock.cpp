@@ -277,6 +277,99 @@ TEST(LockHelping, HelpedCriticalSectionAppliesOnce) {
   flock::epoch_manager::instance().flush();
 }
 
+// A helper's late replay of an enclosing thunk reaches its nested
+// acquisition after the inner lock was released and taken again by
+// another thread. The replay must not install the released inner
+// descriptor again: its install CAS expects the word committed with the
+// descriptor, which the lock has moved past. If it installed, it would
+// release the new holder's lock from under it and let a third section
+// overlap that holder, losing an increment. Spins gated on thread ids
+// stage the interleaving: the helper's replay stalls before the nest, the
+// new holder between its load and its store.
+TEST(LockHelping, NestedLateReplayAfterReacquireAppliesOnce) {
+  flock::set_blocking(false);
+  flock::lock a, b;
+  auto* x = flock::pool_new<flock::mutable_<uint64_t>>();
+  x->init(0);
+  std::atomic<int> helper_tid{-1}, holder_tid{-1};
+  std::atomic<bool> owner_in{false}, owner_go{false};
+  std::atomic<bool> replay_in{false}, replay_go{false};
+  std::atomic<bool> holder_in{false}, holder_go{false};
+  auto inc = [x] {
+    x->store(x->load() + 1);
+    return true;
+  };
+
+  bool owner_ok = false;
+  std::thread owner([&] {
+    const int me = flock::thread_id();
+    owner_ok = flock::with_epoch([&] {
+      return flock::try_lock(a, [&, me, inc] {
+        if (flock::thread_id() == me) {
+          owner_in.store(true);
+          while (!owner_go.load()) {
+          }
+        } else if (flock::thread_id() == helper_tid.load()) {
+          replay_in.store(true);
+          while (!replay_go.load()) {
+          }
+        }
+        return flock::try_lock(b, inc);
+      });
+    });
+  });
+  while (!owner_in.load()) {
+  }
+  bool helper_b_ok = true;
+  std::thread helper([&] {
+    helper_tid.store(flock::thread_id());
+    // a is held: this helps the owner's descriptor, and the replay stalls.
+    EXPECT_FALSE(flock::with_epoch(
+        [&] { return flock::try_lock(a, [] { return true; }); }));
+    // b is held by the new holder: this must help it, not acquire.
+    helper_b_ok = flock::with_epoch([&] { return flock::try_lock(b, inc); });
+  });
+  while (!replay_in.load()) {
+  }
+  owner_go.store(true);  // the owner finishes a{b{x++}}: b released
+  owner.join();
+  ASSERT_TRUE(owner_ok);
+  ASSERT_EQ(x->read_raw(), 1u);
+
+  bool holder_ok = false;
+  std::thread holder([&] {
+    holder_tid.store(flock::thread_id());
+    holder_ok = flock::with_epoch([&] {
+      return flock::try_lock(b, [&, x] {
+        uint64_t v = x->load();
+        if (flock::thread_id() == holder_tid.load()) {
+          holder_in.store(true);
+          while (!holder_go.load()) {
+          }
+        }
+        x->store(v + 1);
+        return true;
+      });
+    });
+  });
+  while (!holder_in.load()) {
+  }
+  replay_go.store(true);  // the late replay reaches try_lock(b)
+  helper.join();
+  holder_go.store(true);
+  holder.join();
+
+  EXPECT_TRUE(holder_ok);
+  EXPECT_FALSE(helper_b_ok);
+  const uint64_t sections = (owner_ok ? 1u : 0u) + (holder_ok ? 1u : 0u) +
+                            (helper_b_ok ? 1u : 0u);
+  EXPECT_EQ(x->read_raw(), sections);  // every section took effect once
+  EXPECT_FALSE(a.is_locked());
+  EXPECT_FALSE(b.is_locked());
+  flock::pool_delete(x);
+  flock::epoch_manager::instance().flush();
+}
+
 TEST(LockHelping, TryLockFailsFastWhenHeld) {
   flock::set_blocking(false);
   flock::lock l;
@@ -315,6 +408,64 @@ TEST(LockFree, DescriptorPoolBalanced) {
   }
   flock::epoch_manager::instance().flush();
   EXPECT_EQ(flock::pool_outstanding<flock::descriptor>(), before);
+}
+
+// The log slots a nested acquisition costs its enclosing thunk: a
+// try_lock two (the candidate descriptor, the outcome) when it acquires
+// and one (a null candidate) when it finds the lock held; a strict_lock
+// three (the descriptor, the lock word, the outcome). The inner thunks
+// commit nothing, so the outer thunk's count is the acquisition's.
+TEST(LockFree, NestedAcquisitionLogSlots) {
+  flock::set_blocking(false);
+  flock::lock a, b;
+  auto outer_commits = [&](auto nested) {
+    uint64_t n = 0;
+    uint64_t* np = &n;
+    flock::with_epoch([&] {
+      return flock::try_lock(a, [np, nested] {
+        const uint64_t c0 = flock::tls_commit_count();
+        bool r = nested();
+        // Every run counts the same slots; the owner's run is the only one.
+        *np = flock::tls_commit_count() - c0;
+        return r;
+      });
+    });
+    return n;
+  };
+  flock::lock* bp = &b;
+  EXPECT_EQ(outer_commits([bp] {
+              return flock::try_lock(*bp, [] { return true; });
+            }),
+            2u);
+  EXPECT_EQ(outer_commits([bp] {
+              return flock::strict_lock(*bp, [] { return true; });
+            }),
+            3u);
+
+  // b held by a stalled thread: the nested try_lock logs a null candidate
+  // and helps the holder (whose thunk commits nothing).
+  std::atomic<bool> in{false}, out{false};
+  std::thread holder([&] {
+    const int me = flock::thread_id();
+    flock::with_epoch([&] {
+      return flock::try_lock(b, [&, me] {
+        in.store(true);
+        while (flock::thread_id() == me && !out.load()) {
+        }
+        return true;
+      });
+    });
+  });
+  while (!in.load()) {
+  }
+  EXPECT_EQ(outer_commits([bp] {
+              return flock::try_lock(*bp, [] { return true; });
+            }),
+            1u);
+  out.store(true);
+  holder.join();
+  EXPECT_FALSE(b.is_locked());
+  flock::epoch_manager::instance().flush();
 }
 
 TEST(LockFree, OversubscribedProgress) {

@@ -89,6 +89,48 @@ TEST(Log, GrowsAcrossBlocks) {
     EXPECT_EQ(flock::commit_value(12345), static_cast<uint64_t>(i));
 }
 
+// Growth is lazy: a thunk that commits exactly kLogBlockEntries slots
+// stays in its descriptor's inline block, one more commit links one
+// overflow block, and a helper's replay of that thunk adopts the same
+// block (and every committed value) instead of linking its own.
+TEST(Log, OverflowBlockOnlyForTheSlotPastTheInlineBlock) {
+  ASSERT_FALSE(flock::in_thunk());
+  constexpr int kInline = flock::kLogBlockEntries;
+  // Row 0 records what the creating thread's run adopts, row 1 what the
+  // helper's run adopts; each run proposes values tagged by its thread.
+  uint64_t seen[2][kInline + 1] = {};
+  const int main_tid = flock::thread_id();
+  auto committing = [&seen, main_tid](int n) {
+    uint64_t(*rows)[kInline + 1] = seen;
+    return [n, rows, main_tid] {
+      const int tid = flock::thread_id();
+      uint64_t* row = rows[tid == main_tid ? 0 : 1];
+      for (int i = 0; i < n; i++)
+        row[i] = flock::commit_value(1000 * static_cast<uint64_t>(tid) + i);
+      return true;
+    };
+  };
+  const long long blocks0 = flock::pool_outstanding<flock::log_block>();
+
+  flock::descriptor* full = flock::create_descriptor(committing(kInline));
+  EXPECT_TRUE(full->run());
+  EXPECT_EQ(full->head.next.load(), nullptr);
+  EXPECT_EQ(flock::pool_outstanding<flock::log_block>(), blocks0);
+  flock::pool_delete(full);
+
+  flock::descriptor* over = flock::create_descriptor(committing(kInline + 1));
+  EXPECT_TRUE(over->run());
+  flock::log_block* blk = over->head.next.load();
+  ASSERT_NE(blk, nullptr);
+  EXPECT_EQ(flock::pool_outstanding<flock::log_block>(), blocks0 + 1);
+  std::thread([over] { EXPECT_TRUE(over->run()); }).join();
+  EXPECT_EQ(over->head.next.load(), blk);
+  EXPECT_EQ(flock::pool_outstanding<flock::log_block>(), blocks0 + 1);
+  for (int i = 0; i <= kInline; i++) EXPECT_EQ(seen[1][i], seen[0][i]) << i;
+  flock::pool_delete(over);  // frees the overflow block too
+  EXPECT_EQ(flock::pool_outstanding<flock::log_block>(), blocks0);
+}
+
 // Slots store payload + 1 with 0 as empty: the payloads next to the
 // encoding's edges must be adopted unchanged on replay.
 TEST(Log, BoundaryPayloadsRoundTrip) {

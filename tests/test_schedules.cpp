@@ -267,6 +267,109 @@ TEST_F(ScheduleTest, NestedReuseHandoffExhaustiveWithKills) {
     ADD_FAILURE() << "first failing schedule: " << stats.failure_schedule;
 }
 
+// --- scenario 1b': a late nested replay after the inner lock changed hands
+//
+// The owner runs A{B{x++}} and then B{x++}; the prober try_locks A (and so
+// helps the owner's A descriptor when it finds A held) and then B{x++}.
+// The prober's replay of A's thunk can reach the nested try_lock of B
+// after the owner's first B section finished and its second took B. That
+// replay adopts the first B descriptor from A's log and must not install
+// it again: its install CAS expects the word committed with the
+// descriptor, which B has moved past. An install from a freshly read word
+// would take B from its new holder, release it, and let the prober's own
+// B section overlap that holder's, losing an increment. On every schedule
+// each successful B section takes effect exactly once: x equals the
+// number of them.
+struct late_nested_state {
+  struct inner {
+    flock::lock a, b;
+    flock::mutable_<uint64_t> x;
+    bool r[4] = {false, false, false, false};  // owner A, owner B, prober A, prober B
+    bool owner_second = false;  // the owner's second B acquisition began
+  };
+  std::unique_ptr<inner> s;
+  int owner_tid = -1;
+  uint64_t late_replays = 0;  // replays reaching B while the owner's second
+                              // acquisition had it
+};
+
+sched::scenario make_late_nested_scenario(
+    std::shared_ptr<late_nested_state> st) {
+  sched::scenario sc;
+  sc.name = "nested_late_replay";
+  sc.setup = [st] {
+    flock::set_blocking(false);
+    st->s = std::make_unique<late_nested_state::inner>();
+    st->s->x.init(0);
+  };
+  auto inc = [st] {
+    flock::mutable_<uint64_t>* xp = &st->s->x;
+    return [xp] {
+      xp->store(xp->load() + 1);
+      return true;
+    };
+  };
+  sc.threads.push_back([st, inc] {  // owner: A{B{x++}}, then B{x++}
+    auto* in = st->s.get();
+    st->owner_tid = flock::thread_id();
+    flock::lock* bp = &in->b;
+    late_nested_state* sp = st.get();
+    auto b_inc = inc();
+    in->r[0] = flock::with_epoch([&] {
+      return flock::try_lock(in->a, [bp, sp, b_inc] {
+        auto* i = sp->s.get();
+        if (flock::thread_id() != sp->owner_tid && i->owner_second &&
+            i->b.is_locked())
+          sp->late_replays++;
+        return flock::try_lock(*bp, b_inc);
+      });
+    });
+    in->owner_second = true;
+    in->r[1] = flock::with_epoch([&] { return flock::try_lock(in->b, b_inc); });
+  });
+  sc.threads.push_back([st, inc] {  // prober: A{}, then B{x++}
+    auto* in = st->s.get();
+    in->r[2] = flock::with_epoch(
+        [&] { return flock::try_lock(in->a, [] { return true; }); });
+    in->r[3] = flock::with_epoch([&] { return flock::try_lock(in->b, inc()); });
+  });
+  sc.on_final = [st](const sched::run_report& rep) {
+    auto* in = st->s.get();
+    const uint64_t sections =
+        (in->r[0] ? 1u : 0u) + (in->r[1] ? 1u : 0u) + (in->r[3] ? 1u : 0u);
+    EXPECT_EQ(in->x.read_raw(), sections) << rep.schedule_string();
+    EXPECT_FALSE(in->a.is_locked()) << rep.schedule_string();
+    EXPECT_FALSE(in->b.is_locked()) << rep.schedule_string();
+  };
+  sc.fingerprint = [st] {
+    auto* in = st->s.get();
+    std::string f = std::to_string(in->x.read_raw()) + "/";
+    for (bool r : in->r) f += r ? 't' : 'f';
+    return f;
+  };
+  return sc;
+}
+
+TEST_F(ScheduleTest, NestedLateReplayAfterReacquireExhaustiveWithKills) {
+  auto st = std::make_shared<late_nested_state>();
+  sched::scenario sc = make_late_nested_scenario(st);
+  sched::explore_options o;
+  // The owner is preempted inside A so the prober can validate its help,
+  // the prober stalls before running it, and the owner dies inside its
+  // second B section: two preemptions and one kill.
+  o.preemption_bound = 2;
+  o.kill_bound = 1;
+  o.run = trylock_filter();
+  o.failure_check = test_failed;
+  sched::explore_stats stats = sched::explore(sc, o);
+  EXPECT_FALSE(stats.truncated);
+  EXPECT_FALSE(stats.nondeterminism);
+  EXPECT_GE(stats.schedules_at_max_bound, 1000u);
+  EXPECT_GT(st->late_replays, 0u);  // the window was reached
+  if (::testing::Test::HasFailure())
+    ADD_FAILURE() << "first failing schedule: " << stats.failure_schedule;
+}
+
 // --- scenario 1c: two runs of one log commit the same slots ----------------
 //
 // A commit reads its slot and skips the CAS when the slot is already full
@@ -554,15 +657,16 @@ TEST_F(ScheduleTest, GrowAllocFailDeferralComposedWithSchedules) {
 
 // --- scenario 3b: a late replay of a grow unit ------------------------------
 //
-// A grow unit's link stores (the `next` stores that chain its copies onto
-// the successor buckets) take their expected values from the unit's log.
-// A helper that validated the unit's descriptor and then stalled replays
-// the unit after it finished — after the successor bucket went live and
-// took an insert. Its logged expected values are stale, so every replayed
-// link store fails; a store that read its expected value unlogged would
-// succeed and unlink the insert. Thread 0 inserts a key that sorts before
-// a resident key of its old bucket's split side (so its insert rewrites a
-// link the unit stores), migrating that unit first; thread 1 inserts
+// A grow unit's head stores (the `next` stores that publish its copied
+// chains in the successor buckets) take their expected values from the
+// unit's log. A helper that validated the unit's descriptor and then
+// stalled replays the unit after it finished — after the successor bucket
+// went live and took an insert. Its logged expected values are stale, so
+// every replayed head store fails; a store that read its expected value
+// unlogged would succeed and unlink the insert. Thread 0 inserts a key
+// that sorts before every resident key of its old bucket's split side (so
+// its insert rewrites the head the unit stores), migrating that unit
+// first; thread 1 inserts
 // another key of the same old bucket and so helps the unit whenever it
 // finds it held. The filter lets thread 1 stall between validating its
 // help and running it while thread 0 finishes the unit and its insert.

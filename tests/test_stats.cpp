@@ -55,7 +55,7 @@ TEST(Stats, UncontendedNestedLocksReuseEveryDescriptor) {
     const long long pending0 = em.pending();
     auto before = flock::stats();
     // No stall (stall_at = -1): nothing is ever observably held.
-    helping_test::nest_plan p{locks, depth, -1, x, nullptr, nullptr, -1};
+    helping_test::nest_plan p{locks, depth, -1, x, nullptr, nullptr, -1, false};
     for (int i = 0; i < 1000; i++) {
       EXPECT_TRUE(
           flock::with_epoch([&] { return helping_test::run_nest(p, 0); }));
@@ -77,10 +77,12 @@ TEST(Stats, UncontendedNestedLocksReuseEveryDescriptor) {
 // that was never helped itself but is reachable from a helped
 // ancestor's log — and a flush returns every one of them.
 void expect_helped_chain_epoch_retired(int depth, int stall_at, int probe_at,
-                                       bool probe_nested = false) {
+                                       bool probe_nested = false,
+                                       bool stall_before_nest = false) {
   SCOPED_TRACE(::testing::Message()
                << "depth=" << depth << " stall_at=" << stall_at
-               << " probe_at=" << probe_at << " probe_nested=" << probe_nested);
+               << " probe_at=" << probe_at << " probe_nested=" << probe_nested
+               << " stall_before_nest=" << stall_before_nest);
   flock::set_blocking(false);
   auto& em = flock::epoch_manager::instance();
   em.flush();
@@ -88,7 +90,8 @@ void expect_helped_chain_epoch_retired(int depth, int stall_at, int probe_at,
   const long long pending0 = em.pending();
   auto before = flock::stats();
   uint64_t applied =
-      helping_test::force_nested_help(depth, stall_at, probe_at, probe_nested);
+      helping_test::force_nested_help(depth, stall_at, probe_at, probe_nested,
+                                      stall_before_nest);
   auto after = flock::stats();
   EXPECT_EQ(applied, 1u);  // the critical section ran exactly once
   EXPECT_GT(after.helps_run - before.helps_run, 0u);
@@ -125,11 +128,17 @@ TEST(Stats, HelpedMiddleLockEpochRetiresTheInnermostToo) {
 
 TEST(Stats, HelpInsideOwnNestEpochRetiresForeignDescriptors) {
   // The probe helps the owner's outer descriptor from inside its own
-  // top-level acquisition, and its replay wins the retire commit of the
-  // owner's inner descriptor (the owner is stalled inside it). That
-  // descriptor belongs to the owner's chain, not the probe's: it must be
-  // epoch-retired, never parked on the probe's deferred list and reused.
+  // top-level acquisition, and its replay runs the owner's inner
+  // descriptor (the owner is stalled inside it, and owns its retire).
   expect_helped_chain_epoch_retired(2, 1, 0, /*probe_nested=*/true);
+  // The owner stalls before its nested acquisition, so the probe's replay
+  // makes it: its candidate becomes the inner descriptor, and its commit
+  // of the outcome comes first, so the probe's run retires that
+  // descriptor. It belongs to the owner's chain, not the probe's: it must
+  // be epoch-retired, never parked on the probe's deferred list and
+  // reused.
+  expect_helped_chain_epoch_retired(2, 0, 0, /*probe_nested=*/true,
+                                    /*stall_before_nest=*/true);
 }
 
 TEST(Stats, BlockingModeCreatesNoDescriptors) {

@@ -11,7 +11,7 @@
 // from a CS lambda is not classified (its body is not in the region). That
 // is a documented limitation — the repo convention is that such helpers
 // either live next to the CS and state their discipline (e.g.
-// hashtable.hpp append_copy) or are part of the sanctioned flock API.
+// hashtable.hpp copy_chain) or are part of the sanctioned flock API.
 #pragma once
 
 #include <cstddef>
