@@ -219,7 +219,7 @@ class hashtable {
           // linearize within this find; no version check is needed. The
           // flag is published only after the successor chains, so a set
           // flag always finds `next` installed.
-          FLOCK_SCHEDPOINT("ht.read.post_flag");
+          FLOCK_SCHEDPOINT(ht_read_post_flag);
           node* cur = s->next.load();
           while (cur != nullptr && cur->k < k) cur = cur->next.load();
           if (cur != nullptr && cur->k == k && !cur->removed.load())
@@ -624,7 +624,7 @@ class hashtable {
       // Protocol window: copies live, forwarded flag not yet published. A
       // kill here is the paper's dead-holder scenario mid-migration —
       // helpers must replay this thunk to completion.
-      FLOCK_FAULTPOINT("ht.grow.pre_publish");
+      FLOCK_FAULTPOINT(ht_grow_pre_publish);
       s->removed = true;  // forwarded: published after the copies are live
       retire_chains({first});
       return true;
@@ -680,7 +680,7 @@ class hashtable {
         node* head = merge_copy(a, b);
         // Protocol window: merged chain built privately, single-store
         // publish not yet issued.
-        FLOCK_FAULTPOINT("ht.merge.pre_publish");
+        FLOCK_FAULTPOINT(ht_merge_pre_publish);
         dst->next = head;     // single publish of the whole merge
         lo->removed = true;   // flags strictly after the publish: a set
         hi->removed = true;   // flag always finds dst fully merged
@@ -761,12 +761,12 @@ class hashtable {
       // Protocol window: table fully drained, root not yet swung. A kill
       // here must be rescued by any later helper (advance_root is
       // idempotent and called from help_resize on every completion check).
-      FLOCK_FAULTPOINT("ht.root.pre_swing");
+      FLOCK_FAULTPOINT(ht_root_pre_swing);
       if (root_.cas_raw_packed(p, r->next.read_raw())) {
         // Window: swing won, drained table not yet retired. A kill here
         // parks the only thread that can retire `r` — the leak audit in
         // tests must see the retire happen after release.
-        FLOCK_FAULTPOINT("ht.root.pre_retire");
+        FLOCK_FAULTPOINT(ht_root_pre_retire);
         retire_table(r);
       }
     }
@@ -857,7 +857,7 @@ class hashtable {
     // the deferral is counted (per-instance and process-wide) so tests and
     // the stats line can assert the degradation actually happened.
     table* nt = nullptr;
-    if (!FLOCK_FAULTPOINT_ALLOC_FAIL("ht.resize.alloc")) [[likely]]
+    if (!FLOCK_FAULTPOINT_ALLOC_FAIL(ht_resize_alloc)) [[likely]]
       nt = make_table(grow ? t->nbuckets() * 2 : t->nbuckets() / 2);
     if (nt == nullptr) [[unlikely]] {
       // mo: relaxed (both) — monotone stat counters; value-only.
@@ -918,7 +918,7 @@ bool try_move(hashtable<K, V, Strict>& from, hashtable<K, V, Strict>& to,
       return false;  // already in dest
     auto splice = [=] {
       // Window: both bucket locks held, neither side spliced yet.
-      FLOCK_FAULTPOINT("ht.move.pre_splice");
+      FLOCK_FAULTPOINT(ht_move_pre_splice);
       if (fs->removed.load() || ts->removed.load()) return false;
       if (fprev != fs && fprev->removed.load()) return false;
       if (fcur->removed.load()) return false;

@@ -140,7 +140,7 @@ class raw_pool {
   /// chain are untouched in that case.
   [[gnu::noinline]] static free_node* refill(per_thread& t) {
     // One alloc-site faultpoint: stall/kill entries armed here fire too.
-    if (FLOCK_FAULTPOINT_ALLOC_FAIL("alloc.refill")) [[unlikely]]
+    if (FLOCK_FAULTPOINT_ALLOC_FAIL(alloc_refill)) [[unlikely]]
       return nullptr;
     void* mem = ::operator new(kHeader + kSlot * kSlabObjects,
                                std::align_val_t{Align}, std::nothrow);
@@ -235,7 +235,7 @@ template <class T>
 T* array_new(std::size_t n) {
   using L = detail::array_layout<T>;
   void* mem = nullptr;
-  if (!FLOCK_FAULTPOINT_ALLOC_FAIL("alloc.array")) [[likely]]
+  if (!FLOCK_FAULTPOINT_ALLOC_FAIL(alloc_array)) [[likely]]
     mem = ::operator new(L::kHeader + n * sizeof(T),
                          std::align_val_t{L::kAlign}, std::nothrow);
   if (mem == nullptr) [[unlikely]] {

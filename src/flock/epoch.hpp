@@ -81,7 +81,7 @@ class epoch_manager {
   }
 
   void retire_ctx(detail::thread_context* c, void* p, void (*del)(void*)) {
-    FLOCK_FAULTPOINT("epoch.retire");
+    FLOCK_FAULTPOINT(epoch_retire);
     detail::retire_batch* b = c->open;
     if (b == nullptr) [[unlikely]]
       b = c->open = alloc_batch(c);
@@ -209,7 +209,7 @@ class epoch_manager {
   }
 
   void seal_and_reclaim(detail::thread_context* c) {
-    FLOCK_FAULTPOINT("epoch.seal");
+    FLOCK_FAULTPOINT(epoch_seal);
     seal(c);
     // Cheap pass: the cached bound, no scanning.
     // mo: acquire — pairs with the acq_rel raise in refresh_bound(); a

@@ -263,7 +263,7 @@ inline bool run_and_unlock(thread_context* c, lock_word& st, descriptor* d) {
   d->done.store(true, std::memory_order_release);
   // Chaos window: done published, unlock CAS pending — the finish-line
   // stall that help_throttled's done-but-locked signal targets.
-  FLOCK_FAULTPOINT("lock.handoff.pre_unlock");
+  FLOCK_FAULTPOINT(lock_handoff_pre_unlock);
   raw_unlock(c, st, d);
   FLOCK_DBG_API(c->dbg_held--);
   return result;
@@ -289,7 +289,7 @@ inline void help(thread_context* c, lock_word& st, uint64_t cur_packed) {
     // Chaos window: helper validated and adopted, about to run the thunk
     // (a dead helper here must not wedge anyone — others revalidate and
     // run the same descriptor).
-    FLOCK_FAULTPOINT("lock.help.pre_run");
+    FLOCK_FAULTPOINT(lock_help_pre_run);
     // Not our chain: its nested retires must not join our deferred list.
     bool owner_run = c->owner_run;
     c->owner_run = false;
@@ -448,7 +448,7 @@ bool try_lock_helping_toplevel(thread_context* c, lock_word& st, F&& f) {
   // Chaos window: descriptor installed, thunk not yet run — the paper's
   // dead-holder scenario (a kill here parks holding the lock; helpers
   // must finish the critical section).
-  FLOCK_FAULTPOINT("lock.install.post");
+  FLOCK_FAULTPOINT(lock_install_post);
   return run_owned_toplevel(c, st, d);
 }
 
@@ -465,7 +465,7 @@ inline std::pair<bool, bool> install_nested(thread_context* c, lock_word& st,
                         /*precheck=*/true);  // install CAM: effects-once
   // Chaos window (nested): install CAM issued, acquisition not yet
   // judged. Consumes no log slots, so replays may legally diverge here.
-  FLOCK_FAULTPOINT("lock.install.post");
+  FLOCK_FAULTPOINT(lock_install_post);
   // The word first, then done: a word that moved off d|locked was released
   // by d's unlock, which follows d's done store. If this run's CAS failed,
   // the word had left `expected` and can never return to it (monotonic
@@ -554,7 +554,7 @@ bool strict_lock_helping(thread_context* c, lock_word& st, F&& f) {
     uint64_t cur = st.read_raw_packed();
     if (!lv_locked(val_of(cur))) {
       if (st.cas_raw_packed_ctx(c, cur, minev, /*precheck=*/false)) {
-        FLOCK_FAULTPOINT("lock.install.post");
+        FLOCK_FAULTPOINT(lock_install_post);
         return run_owned_toplevel(c, st, d);
       }
     } else {

@@ -136,7 +136,7 @@ inline std::pair<uint64_t, bool> commit_raw_ctx(thread_context* c,
   // The window between the pre-check and the CAS: another run can fill
   // the slot right here, and this run then adopts through a failed CAS.
   // Scheduler-only yield point; erased without FLOCK_CHAOS.
-  FLOCK_SCHEDPOINT("log.commit.pre");
+  FLOCK_SCHEDPOINT(log_commit_pre);
   uint64_t expected = kLogEmpty;
   // mo: acq_rel — release so the committed payload's referent is visible
   // to runs that adopt it; acquire on failure for the same adoption

@@ -138,7 +138,7 @@ class mutable_ {
     // The window between (c)cas validation and the committing CAS: the
     // tag in `expected_packed` can go stale right here. Scheduler-only
     // yield point (no fault plans); erased without FLOCK_CHAOS.
-    FLOCK_SCHEDPOINT("mut.cas.pre");
+    FLOCK_SCHEDPOINT(mut_cas_pre);
     detail::announce_guard g(c, this, expected_packed);
     // seq_cst (not acq_rel) so lock-word CASes participate in the
     // hand-off protocol's total order (lock.hpp); identical code on x86,

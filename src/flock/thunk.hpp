@@ -2,8 +2,9 @@
 //
 // Descriptors store the critical-section lambda by value (the paper's
 // "[=]": captures must outlive the caller's stack frame because helpers may
-// run the thunk later). Small captures live inline in the descriptor; big
-// ones fall back to the heap so the library never silently truncates.
+// run the thunk later), inline in the descriptor. A capture larger than
+// kThunkInlineBytes, or over-aligned, does not compile: capture a pointer
+// to the state instead.
 #pragma once
 
 #include <cstddef>
@@ -15,6 +16,13 @@
 
 namespace flock {
 
+/// A callable whose captures fit a thunk's inline buffer. A critical
+/// section that fails this must capture a pointer to its state instead.
+template <class F>
+concept inline_thunk =
+    sizeof(std::decay_t<F>) <= kThunkInlineBytes &&  // else capture a pointer
+    alignof(std::decay_t<F>) <= alignof(std::max_align_t);
+
 class thunk {
  public:
   thunk() = default;
@@ -22,21 +30,14 @@ class thunk {
   thunk& operator=(const thunk&) = delete;
   ~thunk() { clear(); }
 
-  template <class F>
+  template <inline_thunk F>
   void emplace(F&& f) {
     using Fn = std::decay_t<F>;
     clear();
-    if constexpr (sizeof(Fn) <= kThunkInlineBytes &&
-                  alignof(Fn) <= alignof(std::max_align_t)) {
-      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
-      invoke_ = [](void* p) { return (*static_cast<Fn*>(p))(); };
-      destroy_ = [](void* p) { static_cast<Fn*>(p)->~Fn(); };
-      target_ = buf_;
-    } else {
-      target_ = new Fn(std::forward<F>(f));
-      invoke_ = [](void* p) { return (*static_cast<Fn*>(p))(); };
-      destroy_ = [](void* p) { delete static_cast<Fn*>(p); };
-    }
+    ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
+    invoke_ = [](void* p) { return (*static_cast<Fn*>(p))(); };
+    destroy_ = [](void* p) { static_cast<Fn*>(p)->~Fn(); };
+    target_ = buf_;
   }
 
   bool operator()() const { return invoke_(target_); }

@@ -48,7 +48,7 @@ class write_once {
   /// yet visible while its bucket's copies already are), so the schedule
   /// explorer gets a yield point here; erased without FLOCK_CHAOS.
   void store(T v) {
-    FLOCK_SCHEDPOINT("wo.publish");
+    FLOCK_SCHEDPOINT(wo_publish);
     // mo: release — the §6 publication write: everything the storing
     // thunk wrote before this flag must be visible to any acquire reader
     // that observes the new value.

@@ -227,7 +227,7 @@ bool try_move(sharded_map<K, V, Strict>& from, sharded_map<K, V, Strict>& to,
   if (&from == &to) return false;  // same store: routing is a no-op
   // Window: both endpoints routed, the nested bucket critical sections
   // not yet entered — the store tier's hand-off into the ds-tier nest.
-  FLOCK_FAULTPOINT("store.move.pre_nest");
+  FLOCK_FAULTPOINT(store_move_pre_nest);
   return flock_ds::try_move(from.shard_for(k), to.shard_for(k), k);
 }
 

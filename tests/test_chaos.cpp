@@ -23,6 +23,7 @@
 namespace {
 
 namespace chaos = flock_chaos;
+using chaos::point;
 
 template <class F>
 void spin_until(F&& pred) {
@@ -46,17 +47,17 @@ class ChaosTest : public ::testing::Test {
   }
 };
 
-// --- registry / plan mechanics ---------------------------------------------
+// --- plan mechanics --------------------------------------------------------
 
 TEST_F(ChaosTest, ArmCountsOnlyMatchingArrivalsAndFiresOnNth) {
-  auto probe = [] { FLOCK_FAULTPOINT("test.probe"); };
+  auto probe = [] { FLOCK_FAULTPOINT(test_probe); };
   probe();  // unarmed: fast path, no arrival counted
-  EXPECT_EQ(chaos::hits("test.probe"), 0u);
+  EXPECT_EQ(chaos::hits(point::test_probe), 0u);
 
   chaos::arm_options o;
   o.nth = 2;
   o.stall_spins = 64;
-  ASSERT_TRUE(chaos::arm("test.probe", chaos::fault::stall, o));
+  ASSERT_TRUE(chaos::arm(point::test_probe, chaos::fault::stall, o));
   const uint64_t s0 = chaos::stalls_injected();
   probe();  // arrival 1: below nth
   EXPECT_EQ(chaos::stalls_injected(), s0);
@@ -64,27 +65,27 @@ TEST_F(ChaosTest, ArmCountsOnlyMatchingArrivalsAndFiresOnNth) {
   EXPECT_EQ(chaos::stalls_injected(), s0 + 1);
   probe();  // arrival 3: past the window
   EXPECT_EQ(chaos::stalls_injected(), s0 + 1);
-  EXPECT_EQ(chaos::hits("test.probe"), 3u);
+  EXPECT_EQ(chaos::hits(point::test_probe), 3u);
 
   chaos::reset();
   probe();
-  EXPECT_EQ(chaos::hits("test.probe"), 0u);  // disarmed again
+  EXPECT_EQ(chaos::hits(point::test_probe), 0u);  // disarmed again
 }
 
 TEST_F(ChaosTest, VictimOnlyEntriesIgnoreOtherThreads) {
   chaos::arm_options o;
   o.victim_only = true;
   o.stall_spins = 32;
-  ASSERT_TRUE(chaos::arm("test.victim", chaos::fault::stall, o));
+  ASSERT_TRUE(chaos::arm(point::test_victim, chaos::fault::stall, o));
   const uint64_t s0 = chaos::stalls_injected();
-  FLOCK_FAULTPOINT("test.victim");  // this thread is not a victim
+  FLOCK_FAULTPOINT(test_victim);  // this thread is not a victim
   EXPECT_EQ(chaos::stalls_injected(), s0);
   {
     chaos::victim_scope vs;
-    FLOCK_FAULTPOINT("test.victim");
+    FLOCK_FAULTPOINT(test_victim);
     EXPECT_EQ(chaos::stalls_injected(), s0 + 1);
   }
-  FLOCK_FAULTPOINT("test.victim");  // scope ended
+  FLOCK_FAULTPOINT(test_victim);  // scope ended
   EXPECT_EQ(chaos::stalls_injected(), s0 + 1);
 }
 
@@ -95,7 +96,7 @@ TEST_F(ChaosTest, PoolAllocFailurePropagatesNullWithoutSideEffects) {
     uint64_t payload[4];
   };
   const uint64_t f0 = flock::alloc_failures();
-  ASSERT_TRUE(chaos::arm("alloc.refill", chaos::fault::alloc_fail));
+  ASSERT_TRUE(chaos::arm(point::alloc_refill, chaos::fault::alloc_fail));
 
   fresh_t* p = flock::pool_new<fresh_t>();
   EXPECT_EQ(p, nullptr);
@@ -119,7 +120,7 @@ TEST_F(ChaosTest, PoolAllocFailurePropagatesNullWithoutSideEffects) {
 TEST_F(ChaosTest, DescriptorAllocFailureAbortsWithMessage) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(([] {
-                 chaos::arm("alloc.refill", chaos::fault::alloc_fail);
+                 chaos::arm(point::alloc_refill, chaos::fault::alloc_fail);
                  flock::lock l;
                  flock::with_epoch([&] {
                    return flock::try_lock(l, [] { return true; });
@@ -137,7 +138,7 @@ TEST_F(ChaosTest, LogBlockAllocFailureAbortsWithMessage) {
                  flock::with_epoch([&] {
                    return flock::try_lock(l, [] { return true; });
                  });
-                 chaos::arm("alloc.refill", chaos::fault::alloc_fail);
+                 chaos::arm(point::alloc_refill, chaos::fault::alloc_fail);
                  flock::with_epoch([&] {
                    return flock::try_lock(l, [] {
                      for (int i = 0; i <= flock::kLogBlockEntries; i++)
@@ -152,7 +153,7 @@ TEST_F(ChaosTest, LogBlockAllocFailureAbortsWithMessage) {
 TEST_F(ChaosTest, ArrayAllocFailurePropagatesNullWithoutSideEffects) {
   const long long a0 = flock::arrays_outstanding();
   const uint64_t f0 = flock::alloc_failures();
-  ASSERT_TRUE(chaos::arm("alloc.array", chaos::fault::alloc_fail));
+  ASSERT_TRUE(chaos::arm(point::alloc_array, chaos::fault::alloc_fail));
 
   int* arr = flock::array_new<int>(128);
   EXPECT_EQ(arr, nullptr);
@@ -188,7 +189,7 @@ void killed_holder_scenario(bool nested) {
   chaos::arm_options o;
   o.victim_only = true;
   o.nth = nested ? 2 : 1;
-  ASSERT_TRUE(chaos::arm("lock.install.post", chaos::fault::kill, o));
+  ASSERT_TRUE(chaos::arm(point::lock_install_post, chaos::fault::kill, o));
 
   std::thread victim([&] {
     chaos::victim_scope vs;
@@ -262,13 +263,13 @@ TEST_F(ChaosTest, KilledHolderMidNestIsHelpedToCompletion) {
 // (install.post), thunk run but unlock pending (handoff.pre_unlock), and
 // mid-help of someone else's descriptor (help.pre_run).
 TEST_F(ChaosTest, SystemCompletesPastKillAtEveryLockPathWindow) {
-  for (const char* point :
-       {"lock.install.post", "lock.handoff.pre_unlock", "lock.help.pre_run"}) {
-    SCOPED_TRACE(point);
+  for (point p : {point::lock_install_post, point::lock_handoff_pre_unlock,
+                  point::lock_help_pre_run}) {
+    SCOPED_TRACE(chaos::name(p));
     chaos::reset();
     // Help immediately (no throttle) so the help window is exercised.
     flock::set_backoff({16, 2048, 0});
-    ASSERT_TRUE(chaos::arm(point, chaos::fault::kill));  // first crossing
+    ASSERT_TRUE(chaos::arm(p, chaos::fault::kill));  // first crossing
 
     flock::lock l;
     auto* x = flock::pool_new<flock::mutable_<uint64_t>>();
@@ -326,13 +327,13 @@ TEST_F(ChaosTest, BlockingModeKilledHolderBlocksOnlyItsOwnLock) {
   o.victim_only = true;
   // Lock-path windows never fire in blocking mode (no descriptors), so
   // the kill goes inside the victim's critical section body.
-  ASSERT_TRUE(chaos::arm("test.blocking.body", chaos::fault::kill, o));
+  ASSERT_TRUE(chaos::arm(point::test_blocking_body, chaos::fault::kill, o));
 
   std::thread victim([&] {
     chaos::victim_scope vs;
     flock::with_epoch([&] {
       return flock::try_lock(held, [x] {
-        FLOCK_FAULTPOINT("test.blocking.body");
+        FLOCK_FAULTPOINT(test_blocking_body);
         x->store(x->load() + 1);
         return true;
       });
@@ -378,7 +379,7 @@ TEST_F(ChaosTest, BlockingModeKilledHolderBlocksOnlyItsOwnLock) {
 // and finish the whole resize.
 TEST_F(ChaosTest, KilledGrowMigratorIsAuditedAndRescued) {
   flock_ds::hashtable<long, long> ht(64);
-  ASSERT_TRUE(chaos::arm("ht.grow.pre_publish", chaos::fault::kill));
+  ASSERT_TRUE(chaos::arm(point::ht_grow_pre_publish, chaos::fault::kill));
 
   // Single inserter: policy ticks every 16th update on its shard, so the
   // grow installs at the 64th insert and the 65th insert starts migrating
@@ -427,7 +428,7 @@ TEST_F(ChaosTest, KilledGrowMigratorIsAuditedAndRescued) {
 // swing must be rescued by any later helper (advance_root is idempotent).
 TEST_F(ChaosTest, KilledRootSwingIsRescuedByHelpers) {
   flock_ds::hashtable<long, long> ht(64);
-  ASSERT_TRUE(chaos::arm("ht.root.pre_swing", chaos::fault::kill));
+  ASSERT_TRUE(chaos::arm(point::ht_root_pre_swing, chaos::fault::kill));
 
   std::atomic<long long> inserted{0};
   std::thread victim([&] {
@@ -459,7 +460,7 @@ TEST_F(ChaosTest, KilledRootSwingIsRescuedByHelpers) {
 // two-lock critical section and the shrink must finish.
 TEST_F(ChaosTest, KilledMergeMigratorIsRescued) {
   flock_ds::hashtable<long, long> ht(64);
-  ASSERT_TRUE(chaos::arm("ht.merge.pre_publish", chaos::fault::kill));
+  ASSERT_TRUE(chaos::arm(point::ht_merge_pre_publish, chaos::fault::kill));
 
   // Phase 1: grow to 128 and drain it with the inserter's own traffic.
   // Phase 2: removals bring the count under 128/4 = 32, installing the
@@ -501,7 +502,7 @@ TEST_F(ChaosTest, ResizeAllocFailureDefersThenRecovers) {
   chaos::arm_options o;
   o.nth = 1;
   o.count = 8;
-  ASSERT_TRUE(chaos::arm("ht.resize.alloc", chaos::fault::alloc_fail, o));
+  ASSERT_TRUE(chaos::arm(point::ht_resize_alloc, chaos::fault::alloc_fail, o));
 
   const uint64_t d0 = flock::stats().resize_deferrals;
   flock_ds::hashtable<long, long> ht(64);
@@ -542,7 +543,7 @@ TEST_F(ChaosTest, KilledSuccessorBuilderDoesNotWedgeGrowth) {
       flock_ds::hashtable<long, long> ht(64);
       chaos::arm_options o;
       o.victim_only = true;
-      ASSERT_TRUE(chaos::arm("ht.resize.alloc", chaos::fault::kill, o));
+      ASSERT_TRUE(chaos::arm(point::ht_resize_alloc, chaos::fault::kill, o));
 
       // Single victim inserter: its 64th insert ticks the policy at
       // c = 64 >= n, takes the hint and parks before building.
@@ -594,8 +595,8 @@ TEST_F(ChaosTest, MoveWindowsAreCrossedAndSurviveStalls) {
   chaos::arm_options o;
   o.count = 1000;  // stall every crossing
   o.stall_spins = 256;
-  ASSERT_TRUE(chaos::arm("store.move.pre_nest", chaos::fault::stall, o));
-  ASSERT_TRUE(chaos::arm("ht.move.pre_splice", chaos::fault::stall, o));
+  ASSERT_TRUE(chaos::arm(point::store_move_pre_nest, chaos::fault::stall, o));
+  ASSERT_TRUE(chaos::arm(point::ht_move_pre_splice, chaos::fault::stall, o));
 
   flock_store::sharded_map<long, long> from(4), to(4);
   for (long k = 0; k < 64; k++) from.insert(k, k);
@@ -605,8 +606,8 @@ TEST_F(ChaosTest, MoveWindowsAreCrossedAndSurviveStalls) {
   EXPECT_EQ(moved, 64u);
   EXPECT_EQ(from.size(), 0u);
   EXPECT_EQ(to.size(), 64u);
-  EXPECT_GT(chaos::hits("store.move.pre_nest"), 0u);
-  EXPECT_GT(chaos::hits("ht.move.pre_splice"), 0u);
+  EXPECT_GT(chaos::hits(point::store_move_pre_nest), 0u);
+  EXPECT_GT(chaos::hits(point::ht_move_pre_splice), 0u);
 }
 
 // --- seeded plans -----------------------------------------------------------

@@ -24,6 +24,7 @@
 namespace {
 
 namespace chaos = flock_chaos;
+using chaos::point;
 using namespace std::chrono_literals;
 
 template <class F>
@@ -60,14 +61,14 @@ long long ops_against_killed_holder(bool blocking, int ops_per_worker) {
 
   chaos::arm_options o;
   o.victim_only = true;
-  EXPECT_TRUE(chaos::arm("test.holder.body", chaos::fault::kill, o));
+  EXPECT_TRUE(chaos::arm(point::test_holder_body, chaos::fault::kill, o));
 
   std::thread holder([&] {
     chaos::victim_scope vs;
     flock::with_epoch([&] {
       return flock::try_lock(l, [x] {
         uint64_t v = x->load();
-        FLOCK_FAULTPOINT("test.holder.body");
+        FLOCK_FAULTPOINT(test_holder_body);
         x->store(v + 1);
         return true;
       });
@@ -145,7 +146,7 @@ TEST_F(FailureInjection, KilledHolderInNestedLocksIsHelpedThrough) {
 
   chaos::arm_options o;
   o.victim_only = true;
-  ASSERT_TRUE(chaos::arm("test.nest.body", chaos::fault::kill, o));
+  ASSERT_TRUE(chaos::arm(point::test_nest_body, chaos::fault::kill, o));
 
   std::thread holder([&] {
     chaos::victim_scope vs;
@@ -153,7 +154,7 @@ TEST_F(FailureInjection, KilledHolderInNestedLocksIsHelpedThrough) {
       return flock::try_lock(outer, [&, x] {
         return flock::try_lock(inner, [x] {
           uint64_t v = x->load();
-          FLOCK_FAULTPOINT("test.nest.body");
+          FLOCK_FAULTPOINT(test_nest_body);
           x->store(v + 1);
           return true;
         });
@@ -227,7 +228,7 @@ TEST_F(FailureInjection, KilledOwnerAfterNestedReleaseStrandsItsDeferredList) {
 
   chaos::arm_options o;
   o.victim_only = true;
-  ASSERT_TRUE(chaos::arm("test.nest.after", chaos::fault::kill, o));
+  ASSERT_TRUE(chaos::arm(point::test_nest_after, chaos::fault::kill, o));
 
   std::thread holder([&] {
     chaos::victim_scope vs;
@@ -237,7 +238,7 @@ TEST_F(FailureInjection, KilledOwnerAfterNestedReleaseStrandsItsDeferredList) {
           x->store(x->load() + 1);
           return true;
         });
-        FLOCK_FAULTPOINT("test.nest.after");
+        FLOCK_FAULTPOINT(test_nest_after);
         return r;
       });
     });

@@ -1,8 +1,6 @@
 // Drives the flock-lint rule engine (tools/lint/) as a library, with
 // embedded fixture snippets: every rule gets at least one firing and one
-// passing fixture, the baseline machinery round-trips, and R4 is shown
-// catching the exact bug it exists for — a typo'd faultpoint name whose
-// chaos plan would silently never fire.
+// passing fixture, and the baseline machinery round-trips.
 //
 // Fixtures live in raw strings, so the real flock_lint run over tests/
 // sees them as single string tokens and does not lint their contents.
@@ -198,108 +196,6 @@ void f(std::atomic<int>& x) {
 )lint";
   EXPECT_EQ(count_rule(lint_one("src/flock/fixture.hpp", src, {"R3"}), "R3"),
             1);
-}
-
-// --- R4: faultpoint name registry -------------------------------------------
-
-// The acceptance demo: a typo'd name in an arm() call is caught. Without
-// the rule, chaos::arm interns the misspelled name into the registry and
-// the plan silently never fires — the chaos test degrades to a no-op.
-TEST(LintR4, CatchesTypodFaultpointName) {
-  auto runtime = source_file::from_string("src/flock/fixture.hpp", R"lint(
-void acquire_slow() { FLOCK_FAULTPOINT("lock.fake.window"); }
-)lint");
-  auto test = source_file::from_string("tests/fixture.cpp", R"lint(
-void arm_it() { chaos::arm("lock.fake.wndow", chaos::fault::stall); }
-)lint");
-  lint_config cfg;
-  cfg.only_rules = {"R4"};
-  auto fs = lint_files({runtime, test}, cfg);
-  ASSERT_EQ(count_rule(fs, "R4"), 1);
-  EXPECT_EQ(fs[0].path, "tests/fixture.cpp");
-  EXPECT_NE(fs[0].message.find("lock.fake.wndow"), std::string::npos);
-  EXPECT_NE(fs[0].message.find("never fires"), std::string::npos);
-}
-
-TEST(LintR4, CorrectlySpelledArmPasses) {
-  auto runtime = source_file::from_string("src/flock/fixture.hpp", R"lint(
-void acquire_slow() { FLOCK_FAULTPOINT("lock.fake.window"); }
-)lint");
-  auto test = source_file::from_string("tests/fixture.cpp", R"lint(
-void arm_it() {
-  chaos::arm("lock.fake.window", chaos::fault::stall);
-  chaos::hits("lock.fake.window");
-}
-)lint");
-  lint_config cfg;
-  cfg.only_rules = {"R4"};
-  EXPECT_EQ(count_rule(lint_files({runtime, test}, cfg), "R4"), 0);
-}
-
-TEST(LintR4, FlagsIllFormedNamesAndSchedOnlyArms) {
-  auto f = source_file::from_string("src/flock/fixture.hpp", R"lint(
-void a() { FLOCK_FAULTPOINT("BadName"); }
-void b() { FLOCK_SCHEDPOINT("mut.fake.pre"); }
-void c() { chaos::arm("mut.fake.pre", chaos::fault::stall); }
-)lint");
-  lint_config cfg;
-  cfg.only_rules = {"R4"};
-  auto fs = lint_files({f}, cfg);
-  bool ill_formed = false, sched_only = false;
-  for (const finding& x : fs) {
-    ill_formed |= x.message.find("not well-formed") != std::string::npos;
-    sched_only |=
-        x.message.find("only exists as a FLOCK_SCHEDPOINT") != std::string::npos;
-  }
-  EXPECT_TRUE(ill_formed);
-  EXPECT_TRUE(sched_only);
-}
-
-// The name grammar's edges, `[a-z][a-z0-9_]*(\.[a-z0-9_]+)+`, each
-// through the rule itself.
-bool flagged_ill_formed(const std::string& name) {
-  for (const finding& x :
-       lint_one("src/flock/fixture.hpp",
-                "void a() { FLOCK_FAULTPOINT(\"" + name + "\"); }\n", {"R4"}))
-    if (x.message.find("not well-formed") != std::string::npos) return true;
-  return false;
-}
-
-TEST(LintR4, NameGrammarEdges) {
-  for (const char* ok : {"lock.install.post", "a.b", "ht.grow.pre_publish",
-                         "x9_.0", "mut.cas.pre"})
-    EXPECT_FALSE(flagged_ill_formed(ok)) << ok;
-  for (const char* bad : {"",              // empty
-                          "lock",          // single segment
-                          "lock.",         // trailing dot
-                          "lock..post",    // empty middle segment
-                          ".lock.post",    // empty first segment
-                          "1ock.post",     // leading digit
-                          "_lock.post",    // leading underscore
-                          "Lock.post",     // uppercase first letter
-                          "lock.Post",     // uppercase later segment
-                          "lock-x.post"})  // character outside the set
-    EXPECT_TRUE(flagged_ill_formed(bad)) << '"' << bad << '"';
-}
-
-TEST(LintR4, FlagsMultiFileDeclarationButAllowsSameFileRepeats) {
-  // Same name at several sites in ONE file marks one protocol window
-  // (e.g. lock.install.post) — allowed. The same name in two files is a
-  // registry collision — flagged.
-  auto one = source_file::from_string("src/flock/one.hpp", R"lint(
-void a() { FLOCK_FAULTPOINT("w.x.p"); }
-void b() { FLOCK_FAULTPOINT("w.x.p"); }
-)lint");
-  lint_config cfg;
-  cfg.only_rules = {"R4"};
-  EXPECT_EQ(count_rule(lint_files({one}, cfg), "R4"), 0);
-
-  auto two = source_file::from_string("src/flock/two.hpp", R"lint(
-void c() { FLOCK_FAULTPOINT("w.x.p"); }
-)lint");
-  auto fs = lint_files({one, two}, cfg);
-  ASSERT_EQ(count_rule(fs, "R4"), 1);
-  EXPECT_NE(fs[0].message.find("2 files"), std::string::npos);
 }
 
 // --- baseline round-trip ----------------------------------------------------

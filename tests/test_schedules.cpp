@@ -37,6 +37,7 @@
 namespace {
 
 namespace chaos = flock_chaos;
+using chaos::point;
 namespace sched = flock_sched;
 
 bool test_failed() { return ::testing::Test::HasFailure(); }
@@ -611,7 +612,7 @@ TEST_F(ScheduleTest, GrowAllocFailDeferralComposedWithSchedules) {
     chaos::reset();
     st->ht = std::make_unique<flock_ds::hashtable<long, long>>(64);
     deferrals_before = st->ht->resize_deferrals();
-    ASSERT_TRUE(chaos::arm("ht.resize.alloc", chaos::fault::alloc_fail));
+    ASSERT_TRUE(chaos::arm(point::ht_resize_alloc, chaos::fault::alloc_fail));
     for (long k = 0; k < 64; k++) st->ht->insert(k, k);
     // The 64th insert's tick hit the armed alloc failure: deferred.
     ASSERT_EQ(st->ht->resize_deferrals(), deferrals_before + 1);
@@ -759,10 +760,10 @@ TEST_F(ScheduleTest, EpochRetireVsAnnounceExhaustiveWithKills) {
   };
   sc.threads.push_back([st] {  // reader
     flock::with_epoch([&] {
-      FLOCK_SCHEDPOINT("test.rd.announced");
+      FLOCK_SCHEDPOINT(test_rd_announced);
       epoch_node* p = st->shared.load(std::memory_order_acquire);
       st->loaded = p;
-      FLOCK_SCHEDPOINT("test.rd.loaded");  // pointer in hand, not deref'd
+      FLOCK_SCHEDPOINT(test_rd_loaded);  // pointer in hand, not deref'd
       if (p != nullptr) st->observed = p->magic;
       return true;
     });
@@ -770,9 +771,9 @@ TEST_F(ScheduleTest, EpochRetireVsAnnounceExhaustiveWithKills) {
   });
   sc.threads.push_back([st] {  // writer
     epoch_node* p = st->shared.exchange(nullptr, std::memory_order_acq_rel);
-    FLOCK_SCHEDPOINT("test.wr.unlinked");
+    FLOCK_SCHEDPOINT(test_wr_unlinked);
     flock::epoch_retire(p);
-    FLOCK_SCHEDPOINT("test.wr.retired");
+    FLOCK_SCHEDPOINT(test_wr_retired);
     // Flood: force the open batch to seal (capacity 64) and reclamation
     // decisions to run while the reader may still be announced.
     for (int i = 0; i < 80; i++)
@@ -848,19 +849,19 @@ TEST_F(ScheduleTest, KillSchedulesReplayDeterministically) {
   };
   sc.threads.push_back([st] {
     flock::with_epoch([&] {
-      FLOCK_SCHEDPOINT("test.rd.announced");
+      FLOCK_SCHEDPOINT(test_rd_announced);
       epoch_node* p = st->shared.load(std::memory_order_acquire);
       st->loaded = p;
-      FLOCK_SCHEDPOINT("test.rd.loaded");
+      FLOCK_SCHEDPOINT(test_rd_loaded);
       if (p != nullptr) st->observed = p->magic;
       return true;
     });
   });
   sc.threads.push_back([st] {
     epoch_node* p = st->shared.exchange(nullptr, std::memory_order_acq_rel);
-    FLOCK_SCHEDPOINT("test.wr.unlinked");
+    FLOCK_SCHEDPOINT(test_wr_unlinked);
     flock::epoch_retire(p);
-    FLOCK_SCHEDPOINT("test.wr.retired");
+    FLOCK_SCHEDPOINT(test_wr_retired);
     for (int i = 0; i < 80; i++)
       flock::epoch_retire(flock::pool_new<epoch_node>());
   });

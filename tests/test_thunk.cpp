@@ -3,11 +3,34 @@
 
 #include <array>
 #include <atomic>
+#include <cstddef>
 #include <memory>
+#include <utility>
 
 #include "flock/flock.hpp"
 
 namespace {
+
+// Captures that do not fit inline are rejected at compile time; the
+// caller captures a pointer instead.
+template <class F>
+constexpr bool emplaceable = requires(flock::thunk& t, F f) {
+  t.emplace(std::move(f));
+};
+struct alignas(2 * alignof(std::max_align_t)) over_aligned {
+  bool operator()() const { return true; }
+};
+constexpr auto fits = [b = std::array<char, flock::kThunkInlineBytes>{}] {
+  return b[0] == 0;
+};
+constexpr auto too_big =
+    [b = std::array<char, flock::kThunkInlineBytes + 1>{}] {
+      return b[0] == 0;
+    };
+static_assert(emplaceable<decltype(fits)>);
+static_assert(!emplaceable<decltype(too_big)>);
+static_assert(!emplaceable<over_aligned>);
+static_assert(emplaceable<decltype([p = &fits] { return (*p)(); })>);
 
 TEST(Thunk, InvokesSmallLambda) {
   flock::thunk t;
@@ -24,14 +47,6 @@ TEST(Thunk, CapturesByValue) {
     t.emplace([local] { return local == 7; });
     local = 8;  // must not affect the stored copy
   }
-  EXPECT_TRUE(t());
-}
-
-TEST(Thunk, LargeCapturesFallBackToHeap) {
-  flock::thunk t;
-  std::array<uint64_t, 64> big{};  // 512 bytes > inline budget
-  big[63] = 9;
-  t.emplace([big] { return big[63] == 9; });
   EXPECT_TRUE(t());
 }
 

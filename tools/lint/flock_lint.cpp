@@ -1,5 +1,5 @@
 // flock_lint — static analyzer enforcing the flock idempotence &
-// memory-discipline rules (R1–R4, see rules.hpp and ARCHITECTURE.md
+// memory-discipline rules (R1–R3, see rules.hpp and ARCHITECTURE.md
 // "Correctness tooling").
 //
 // Usage:

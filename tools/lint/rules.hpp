@@ -1,6 +1,6 @@
 // rules.hpp — the flock-lint rule engine.
 //
-// Four rules enforce the discipline that the lock-free-locks reproduction
+// Three rules enforce the discipline that the lock-free-locks reproduction
 // otherwise states only in comments (see ARCHITECTURE.md "Correctness
 // tooling" and the per-rule rationale strings below):
 //
@@ -9,20 +9,17 @@
 //       static locals) inside CS lambdas
 //   R3  every relaxed/acquire/release/acq_rel memory order in src/flock/,
 //       src/ds/, and src/store/ carries a `// mo:` justification comment
-//   R4  faultpoint name registry: well-formed, single-file, kind-unique,
-//       and every name armed by tests resolves to a real fault point
 //
-// R1–R3 are per-file; R4 needs the whole file set (a corpus rule).
-// Everything is lexical: no type information, no preprocessing. Escapes
-// that the lexical level cannot see (e.g. a bare `.load()` on a
-// std::atomic member, which is spelled identically to the sanctioned
-// mutable_<T>::load()) are out of scope and documented; escapes the rules
-// DO see but that are correct by a human argument go into the baseline
-// file (baseline.hpp) with a comment — the rule itself is never weakened.
+// All three are per-file. Everything is lexical: no type information, no
+// preprocessing. Escapes that the lexical level cannot see (e.g. a bare
+// `.load()` on a std::atomic member, which is spelled identically to the
+// sanctioned mutable_<T>::load()) are out of scope and documented; escapes
+// the rules DO see but that are correct by a human argument go into the
+// baseline file (baseline.hpp) with a comment — the rule itself is never
+// weakened.
 #pragma once
 
 #include <algorithm>
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -34,7 +31,7 @@
 namespace flock_lint {
 
 struct finding {
-  std::string rule;     // "R1".."R4"
+  std::string rule;     // "R1".."R3"
   std::string path;
   int line;
   std::string message;
@@ -66,12 +63,6 @@ inline const std::vector<rule_doc>& rule_docs() {
        "load-bearing; each use must carry a `// mo:` comment (same "
        "statement or just above) explaining why the weaker order is "
        "sufficient, or a reviewed baseline entry."},
-      {"R4", "faultpoint name registry is consistent",
-       "chaos::arm(\"typo\") silently never fires (the registry interns "
-       "names on first crossing), so a misspelled point name turns a "
-       "chaos test into a no-op. Names must be well-formed dotted "
-       "lower-case, live in one file, keep one kind (fault vs sched), and "
-       "every armed name must exist as a real fault point."},
   };
   return docs;
 }
@@ -307,146 +298,14 @@ inline void run_r3(const source_file& f, const std::vector<token>& t,
   }
 }
 
-// --- R4 -------------------------------------------------------------------
-
-struct point_decl {
-  std::string file;
-  int line;
-  bool is_sched;
-};
-
-inline std::string unquote(const std::string& s) {
-  if (s.size() >= 2 && s.front() == '"' && s.back() == '"')
-    return s.substr(1, s.size() - 2);
-  return s;
-}
-
-/// R4's name grammar, `[a-z][a-z0-9_]*(\.[a-z0-9_]+)+`: at least two
-/// non-empty dot-separated segments of [a-z0-9_], the first opening with
-/// a lower-case letter.
-inline bool well_formed_point_name(const std::string& s) {
-  if (s.empty() || s[0] < 'a' || s[0] > 'z') return false;
-  std::size_t dots = 0, seg = 0;  // seg: length of the current segment
-  for (char ch : s) {
-    if (ch == '.') {
-      if (seg == 0) return false;
-      dots++;
-      seg = 0;
-    } else if ((ch >= 'a' && ch <= 'z') || (ch >= '0' && ch <= '9') ||
-               ch == '_') {
-      seg++;
-    } else {
-      return false;
-    }
-  }
-  return dots > 0 && seg > 0;
-}
-
-inline void run_r4(const std::vector<source_file>& files,
-                   const std::vector<std::vector<token>>& toks,
-                   std::vector<finding>& out) {
-  // name -> declarations (a name may legitimately mark the same protocol
-  // window at several sites in ONE file, e.g. lock.install.post).
-  std::map<std::string, std::vector<point_decl>> decls;
-  struct armed_use {
-    std::string name, file;
-    int line;
-  };
-  std::vector<armed_use> armed;
-
-  for (std::size_t fi = 0; fi < files.size(); fi++) {
-    const std::vector<token>& t = toks[fi];
-    for (std::size_t k = 0; k + 2 < t.size(); k++) {
-      if (t[k].kind != tok_kind::ident) continue;
-      const std::string& x = t[k].text;
-      bool is_point = x == "FLOCK_FAULTPOINT" ||
-                      x == "FLOCK_FAULTPOINT_ALLOC_FAIL" ||
-                      x == "FLOCK_SCHEDPOINT";
-      bool is_arm = x == "arm" || x == "hits";
-      if (!is_point && !is_arm) continue;
-      std::size_t paren = next_code(t, k + 1);
-      if (paren >= t.size() || t[paren].text != "(") continue;
-      std::size_t arg = next_code(t, paren + 1);
-      if (arg >= t.size() || t[arg].kind != tok_kind::str)
-        continue;  // macro definition site or a variable name — skip
-      std::string name = unquote(t[arg].text);
-      if (is_point) {
-        if (!well_formed_point_name(name))
-          out.push_back({"R4", files[fi].path, t[k].line,
-                         "fault point name \"" + name +
-                             "\" is not well-formed (want dotted lower-case "
-                             "segments, e.g. \"ht.grow.pre_publish\")",
-                         normalize_ws(files[fi].line(t[k].line))});
-        decls[name].push_back(
-            {files[fi].path, t[k].line, x == "FLOCK_SCHEDPOINT"});
-      } else {
-        armed.push_back({name, files[fi].path, t[k].line});
-      }
-    }
-  }
-
-  for (const auto& [name, ds] : decls) {
-    std::set<std::string> in_files;
-    bool sched = false, fault = false;
-    for (const point_decl& d : ds) {
-      in_files.insert(d.file);
-      (d.is_sched ? sched : fault) = true;
-    }
-    if (in_files.size() > 1) {
-      const point_decl& d = ds.back();
-      out.push_back({"R4", d.file, d.line,
-                     "fault point \"" + name + "\" is declared in " +
-                         std::to_string(in_files.size()) +
-                         " files — one window, one owning file",
-                     ""});
-    }
-    if (sched && fault) {
-      const point_decl& d = ds.back();
-      out.push_back({"R4", d.file, d.line,
-                     "\"" + name +
-                         "\" is used as both FLOCK_FAULTPOINT and "
-                         "FLOCK_SCHEDPOINT — schedpoints have no fault "
-                         "registry entry, so arming this name is ambiguous",
-                     ""});
-    }
-  }
-
-  for (const armed_use& a : armed) {
-    auto it = decls.find(a.name);
-    bool fault_exists = false;
-    if (it != decls.end())
-      for (const point_decl& d : it->second)
-        if (!d.is_sched) fault_exists = true;
-    if (!fault_exists) {
-      std::string why =
-          it == decls.end()
-              ? "no such fault point exists anywhere — the plan never fires"
-              : "the name only exists as a FLOCK_SCHEDPOINT, which has no "
-                "fault registry entry — the plan never fires";
-      // Find the file to grab a snippet from.
-      std::string snip;
-      for (const source_file& f : files)
-        if (f.path == a.file) snip = normalize_ws(f.line(a.line));
-      out.push_back({"R4", a.file, a.line,
-                     "armed fault point \"" + a.name + "\": " + why, snip});
-    }
-  }
-}
-
 }  // namespace detail
 
-/// Run all enabled rules over a file set. R1–R3 run per file, R4 over
-/// the corpus. Findings come back sorted by (path, line, rule).
+/// Run all enabled rules over a file set, file by file. Findings come back sorted by (path, line, rule).
 inline std::vector<finding> lint_files(const std::vector<source_file>& files,
                                        const lint_config& cfg = {}) {
   std::vector<finding> out;
-  std::vector<std::vector<token>> toks;
-  toks.reserve(files.size());
-  for (const source_file& f : files) toks.push_back(lex(f));
-
-  for (std::size_t i = 0; i < files.size(); i++) {
-    const source_file& f = files[i];
-    const std::vector<token>& t = toks[i];
+  for (const source_file& f : files) {
+    const std::vector<token> t = lex(f);
     if (cfg.enabled("R1") || cfg.enabled("R2")) {
       std::vector<region> rs = cs_regions(t, cfg.entry_points);
       if (cfg.enabled("R1")) detail::run_r1(f, t, rs, out);
@@ -455,7 +314,6 @@ inline std::vector<finding> lint_files(const std::vector<source_file>& files,
     if (cfg.enabled("R3") && cfg.r3_covers(f.path))
       detail::run_r3(f, t, out);
   }
-  if (cfg.enabled("R4")) detail::run_r4(files, toks, out);
 
   std::sort(out.begin(), out.end(), [](const finding& a, const finding& b) {
     if (a.path != b.path) return a.path < b.path;
