@@ -1,5 +1,5 @@
 // contended_locks — multi-thread contention bench for the lock paths
-// themselves (PR 4). The figure benches measure whole data structures;
+// themselves. The figure benches measure whole data structures;
 // this one isolates the lock acquire/release cycle under the three
 // contention shapes the paper's §8 argues about:
 //
@@ -12,17 +12,13 @@
 //           where a blocking lock holder can be descheduled mid-critical-
 //           section but lock-free waiters can finish its work.
 //
-// Sweeps threads x {blocking, lock-free} x {try, strict}
-// and emits one json_reporter series per point (default file
-// BENCH_contended.json; FLOCK_BENCH_JSON overrides), plus per-point
-// helping/backoff stat deltas on stderr so the help-throttle's effect is
-// visible next to the throughput it buys.
-//
-// Env knobs:
-//   FLOCK_CONTEND_MS       timed window per point    (default 200 ms)
-//   FLOCK_CONTEND_LOCKS    zipf lock-array size      (default 64)
-//   FLOCK_CONTEND_MAXT     top of the thread sweep   (default 8)
-//   FLOCK_OVERSUB_MULT     oversub = mult x cores    (default 8)
+// Sweeps threads (1/2/4/8; 8x cores for oversub) x {blocking, lock-free}
+// x {try, strict} over 64 zipf locks or one hot lock, and prints one
+// harness CSV row per point (figure "contended", series e.g.
+// hot_try_lockfree_t4, x = threads, mops = successful acquisitions),
+// plus every stats counter's per-point delta on stderr so the
+// help-throttle's effect is visible next to the throughput it buys.
+// FLOCK_BENCH_MS sets the timed window per point.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -37,18 +33,8 @@
 
 namespace {
 
-struct knobs {
-  int ms = static_cast<int>(bench::env_long("FLOCK_CONTEND_MS", 200));
-  int nlocks = static_cast<int>(bench::env_long("FLOCK_CONTEND_LOCKS", 64));
-  int max_threads = static_cast<int>(bench::env_long("FLOCK_CONTEND_MAXT", 8));
-  int oversub_mult =
-      static_cast<int>(bench::env_long("FLOCK_OVERSUB_MULT", 8));
-};
-
-knobs& k() {
-  static knobs kn;
-  return kn;
-}
+constexpr int kZipfLocks = 64;
+constexpr int kOversubPerCore = 8;
 
 // One lock + its counter, padded so neighbouring array entries don't
 // false-share.
@@ -107,7 +93,7 @@ point_result run_point(std::vector<lock_slot>& slots, int threads,
   }
   auto t0 = std::chrono::steady_clock::now();
   go.store(true, std::memory_order_release);
-  std::this_thread::sleep_for(std::chrono::milliseconds(k().ms));
+  std::this_thread::sleep_for(std::chrono::milliseconds(bench::cfg().ms));
   stop.store(true, std::memory_order_relaxed);
   for (auto& w : ws) w.join();
   auto t1 = std::chrono::steady_clock::now();
@@ -137,22 +123,20 @@ void free_slots(std::vector<lock_slot>& slots) {
   flock::epoch_manager::instance().flush();
 }
 
-void stat_delta(const flock::stats_snapshot& a,
-                const flock::stats_snapshot& b, const std::string& series) {
-  std::fprintf(stderr,
-               "  %-36s helps att/run/avoided %llu/%llu/%llu  backoff %llu\n",
-               series.c_str(),
-               static_cast<unsigned long long>(b.helps_attempted -
-                                               a.helps_attempted),
-               static_cast<unsigned long long>(b.helps_run - a.helps_run),
-               static_cast<unsigned long long>(b.helps_avoided -
-                                               a.helps_avoided),
-               static_cast<unsigned long long>(b.backoff_spins -
-                                               a.backoff_spins));
+/// Every stats counter that moved between `a` and `b`, on stderr.
+void print_stat_deltas(const flock::stats_snapshot& a,
+                       const flock::stats_snapshot& b) {
+#define FLOCK_PRINT_DELTA(name)                     \
+  if (b.name != a.name)                             \
+    std::fprintf(stderr, "  " #name " %llu",        \
+                 static_cast<unsigned long long>(b.name - a.name));
+  FLOCK_STATS_COUNTERS(FLOCK_PRINT_DELTA)
+#undef FLOCK_PRINT_DELTA
+  std::fprintf(stderr, "\n");
 }
 
 template <bool Strict>
-void sweep(bench::json_reporter& rep, const char* scenario, int nlocks,
+void sweep(const char* scenario, int nlocks,
            const std::vector<int>& thread_points) {
   for (bool blocking : {true, false}) {
     flock::set_blocking(blocking);
@@ -170,10 +154,10 @@ void sweep(bench::json_reporter& rep, const char* scenario, int nlocks,
                            (Strict ? "strict" : "try") + "_" +
                            (blocking ? "blocking" : "lockfree") + "_t" +
                            std::to_string(t);
-      rep.add(series, r.mops);
-      std::fprintf(stderr, "  %-36s %8.3f Mops acquired (%.3f calls)\n",
+      bench::emit("contended", series, t, r.mops);
+      std::fprintf(stderr, "  %-28s %8.3f Mops acquired (%.3f calls)",
                    series.c_str(), r.mops, r.call_mops);
-      stat_delta(before, after, series);
+      print_stat_deltas(before, after);
       free_slots(slots);
     }
   }
@@ -183,30 +167,27 @@ void sweep(bench::json_reporter& rep, const char* scenario, int nlocks,
 }  // namespace
 
 int main() {
-  std::vector<int> threads;
-  for (int t = 1; t <= k().max_threads; t *= 2) threads.push_back(t);
+  const std::vector<int> threads{1, 2, 4, 8};
   int cores = static_cast<int>(std::thread::hardware_concurrency());
   if (cores < 1) cores = 1;
-  std::vector<int> oversub{k().oversub_mult * cores};
+  const std::vector<int> oversub{kOversubPerCore * cores};
 
-  bench::json_reporter rep;
   std::fprintf(stderr, "contended_locks: window=%dms locks=%d cores=%d\n",
-               k().ms, k().nlocks, cores);
+               bench::cfg().ms, kZipfLocks, cores);
+  std::printf("figure,series,threads,mops\n");
 
   std::fprintf(stderr, "single hot lock, try:\n");
-  sweep<false>(rep, "hot", 1, threads);
+  sweep<false>("hot", 1, threads);
   std::fprintf(stderr, "single hot lock, strict:\n");
-  sweep<true>(rep, "hot", 1, threads);
+  sweep<true>("hot", 1, threads);
   std::fprintf(stderr, "zipf lock array, try:\n");
-  sweep<false>(rep, "zipf", k().nlocks, threads);
+  sweep<false>("zipf", kZipfLocks, threads);
   std::fprintf(stderr, "zipf lock array, strict:\n");
-  sweep<true>(rep, "zipf", k().nlocks, threads);
+  sweep<true>("zipf", kZipfLocks, threads);
   std::fprintf(stderr, "oversubscription (%dx %d cores), strict:\n",
-               k().oversub_mult, cores);
-  sweep<true>(rep, "oversub", 1, oversub);
+               kOversubPerCore, cores);
+  sweep<true>("oversub", 1, oversub);
   std::fprintf(stderr, "oversubscription, try:\n");
-  sweep<false>(rep, "oversub", 1, oversub);
-
-  rep.write("BENCH_contended.json");
+  sweep<false>("oversub", 1, oversub);
   return 0;
 }

@@ -13,36 +13,25 @@ int main() {
                cfg().max_threads);
   std::printf("figure,series,zipf_alpha,mops\n");
   const std::vector<double> alphas = {0, 0.75, 0.9, 0.99};
-  const uint64_t n = cfg().small_n;
-  const int th = cfg().max_threads;
 
   auto mk_try = [] { return std::make_unique<flock_workload::leaftree_try>(); };
   auto mk_strict = [] {
     return std::make_unique<flock_workload::leaftree_strict>();
   };
 
-  sweep_alpha("fig4", "leaftree-trylock-bl", mk_try, /*blocking=*/true, n,
-              th, 50, alphas);
-  sweep_alpha("fig4", "leaftree-trylock-lf", mk_try, /*blocking=*/false, n,
-              th, 50, alphas);
-  sweep_alpha("fig4", "leaftree-strictlock-bl", mk_strict, true, n, th, 50,
-              alphas);
-  sweep_alpha("fig4", "leaftree-strictlock-lf", mk_strict, false, n, th, 50,
-              alphas);
+  auto panel = [&](const char* figure, uint64_t range, int threads) {
+    const auto points = along(run{range, threads, 50, 0}, &run::alpha, alphas);
+    sweep(figure, "leaftree-trylock-bl", mk_try, /*blocking=*/true, points);
+    sweep(figure, "leaftree-trylock-lf", mk_try, /*blocking=*/false, points);
+    sweep(figure, "leaftree-strictlock-bl", mk_strict, true, points);
+    sweep(figure, "leaftree-strictlock-lf", mk_strict, false, points);
+  };
+  panel("fig4", cfg().small_n, cfg().max_threads);
 
   // Second panel at 1/10 the keys and oversubscribed threads: this
   // machine has ~6x fewer hardware threads than the paper's, so lock
   // contention at 100K keys is proportionally lower; the hot panel
   // restores the paper's contention regime (where strict locks collapse).
-  const uint64_t hot = cfg().small_n / 10;
-  const int ov = cfg().oversub_threads;
-  sweep_alpha("fig4hot", "leaftree-trylock-bl", mk_try, true, hot, ov, 50,
-              alphas);
-  sweep_alpha("fig4hot", "leaftree-trylock-lf", mk_try, false, hot, ov, 50,
-              alphas);
-  sweep_alpha("fig4hot", "leaftree-strictlock-bl", mk_strict, true, hot, ov,
-              50, alphas);
-  sweep_alpha("fig4hot", "leaftree-strictlock-lf", mk_strict, false, hot, ov,
-              50, alphas);
+  panel("fig4hot", cfg().small_n / 10, cfg().oversub_threads);
   return 0;
 }

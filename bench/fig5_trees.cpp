@@ -37,69 +37,24 @@ int main() {
   const std::vector<double> updates = {0, 5, 10, 50};
   const std::vector<double> alphas = {0, 0.75, 0.9, 0.99};
 
-  // Panel a: thread sweep, large tree, 50% updates, alpha .75.
-  std::fprintf(stderr, "panel a\n");
-  sweep_threads("fig5a", "leaftree-bl", mk_leaftree, true, big, 50, 0.75,
-                threads);
-  sweep_threads("fig5a", "leaftree-lf", mk_leaftree, false, big, 50, 0.75,
-                threads);
-  sweep_threads("fig5a", "natarajan", mk_nat, false, big, 50, 0.75, threads);
-  sweep_threads("fig5a", "ellen", mk_ellen, false, big, 50, 0.75, threads);
-
-  // Panel b: update sweep, large tree.
-  std::fprintf(stderr, "panel b\n");
-  sweep_updates("fig5b", "leaftree-bl", mk_leaftree, true, big, th, 0.75,
-                updates);
-  sweep_updates("fig5b", "leaftree-lf", mk_leaftree, false, big, th, 0.75,
-                updates);
-  sweep_updates("fig5b", "natarajan", mk_nat, false, big, th, 0.75, updates);
-  sweep_updates("fig5b", "ellen", mk_ellen, false, big, th, 0.75, updates);
-
-  // Panel c: zipf sweep, large tree, full subscription.
-  std::fprintf(stderr, "panel c\n");
-  sweep_alpha("fig5c", "leaftree-bl", mk_leaftree, true, big, th, 50, alphas);
-  sweep_alpha("fig5c", "leaftree-lf", mk_leaftree, false, big, th, 50, alphas);
-  sweep_alpha("fig5c", "natarajan", mk_nat, false, big, th, 50, alphas);
-  sweep_alpha("fig5c", "ellen", mk_ellen, false, big, th, 50, alphas);
-
-  // Panel d: zipf sweep, large tree, OVERSUBSCRIBED.
-  std::fprintf(stderr, "panel d\n");
-  sweep_alpha("fig5d", "leaftree-bl", mk_leaftree, true, big, ov, 50, alphas);
-  sweep_alpha("fig5d", "leaftree-lf", mk_leaftree, false, big, ov, 50, alphas);
-  sweep_alpha("fig5d", "natarajan", mk_nat, false, big, ov, 50, alphas);
-  sweep_alpha("fig5d", "ellen", mk_ellen, false, big, ov, 50, alphas);
-
-  // Panel e: thread sweep, small tree.
-  std::fprintf(stderr, "panel e\n");
-  sweep_threads("fig5e", "leaftree-bl", mk_leaftree, true, small, 50, 0.75,
-                threads);
-  sweep_threads("fig5e", "leaftree-lf", mk_leaftree, false, small, 50, 0.75,
-                threads);
-  sweep_threads("fig5e", "natarajan", mk_nat, false, small, 50, 0.75, threads);
-  sweep_threads("fig5e", "ellen", mk_ellen, false, small, 50, 0.75, threads);
-
-  // Panel f: update sweep, small tree.
-  std::fprintf(stderr, "panel f\n");
-  sweep_updates("fig5f", "leaftree-bl", mk_leaftree, true, small, th, 0.75,
-                updates);
-  sweep_updates("fig5f", "leaftree-lf", mk_leaftree, false, small, th, 0.75,
-                updates);
-  sweep_updates("fig5f", "natarajan", mk_nat, false, small, th, 0.75, updates);
-  sweep_updates("fig5f", "ellen", mk_ellen, false, small, th, 0.75, updates);
-
-  // Panel g: zipf sweep, small tree, oversubscribed, 5% updates.
-  std::fprintf(stderr, "panel g\n");
-  sweep_alpha("fig5g", "leaftree-bl", mk_leaftree, true, small, ov, 5, alphas);
-  sweep_alpha("fig5g", "leaftree-lf", mk_leaftree, false, small, ov, 5, alphas);
-  sweep_alpha("fig5g", "natarajan", mk_nat, false, small, ov, 5, alphas);
-  sweep_alpha("fig5g", "ellen", mk_ellen, false, small, ov, 5, alphas);
-
-  // Panel h: size sweep, oversubscribed, 5% updates.
-  std::fprintf(stderr, "panel h\n");
+  auto panel = [&](const char* figure, const std::vector<point>& points) {
+    std::fprintf(stderr, "%s\n", figure);
+    sweep(figure, "leaftree-bl", mk_leaftree, true, points);
+    sweep(figure, "leaftree-lf", mk_leaftree, false, points);
+    sweep(figure, "natarajan", mk_nat, false, points);
+    sweep(figure, "ellen", mk_ellen, false, points);
+  };
+  // a/e: thread sweep, 50% updates, alpha .75; b/f: update sweep;
+  // c: zipf sweep at full subscription; d/g: zipf sweep oversubscribed
+  // (g at 5% updates); h: size sweep, oversubscribed, 5% updates.
+  panel("fig5a", along(run{big, 0, 50, 0.75}, &run::threads, threads));
+  panel("fig5b", along(run{big, th, 0, 0.75}, &run::update_percent, updates));
+  panel("fig5c", along(run{big, th, 50, 0}, &run::alpha, alphas));
+  panel("fig5d", along(run{big, ov, 50, 0}, &run::alpha, alphas));
+  panel("fig5e", along(run{small, 0, 50, 0.75}, &run::threads, threads));
+  panel("fig5f", along(run{small, th, 0, 0.75}, &run::update_percent, updates));
+  panel("fig5g", along(run{small, ov, 5, 0}, &run::alpha, alphas));
   const std::vector<uint64_t> sizes = {1000, 10000, 100000, big, 4 * big};
-  sweep_sizes("fig5h", "leaftree-bl", mk_leaftree, true, ov, 5, 0.75, sizes);
-  sweep_sizes("fig5h", "leaftree-lf", mk_leaftree, false, ov, 5, 0.75, sizes);
-  sweep_sizes("fig5h", "natarajan", mk_nat, false, ov, 5, 0.75, sizes);
-  sweep_sizes("fig5h", "ellen", mk_ellen, false, ov, 5, 0.75, sizes);
+  panel("fig5h", along(run{0, ov, 5, 0.75}, &run::range, sizes));
   return 0;
 }

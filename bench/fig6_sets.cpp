@@ -32,42 +32,23 @@ int main() {
     return std::make_unique<flock_workload::abtree_strict>();
   };
 
-  const std::vector<int> threads = thread_axis();
   const std::vector<double> alphas = {0, 0.75, 0.9, 0.99};
 
-  struct series {
-    const char* name;
-    bool blocking;
+  auto panel = [&](const char* figure, const std::vector<point>& points) {
+    std::fprintf(stderr, "%s\n", figure);
+    sweep(figure, "arttree-bl", mk_art, true, points);
+    sweep(figure, "arttree-lf", mk_art, false, points);
+    sweep(figure, "leaftreap-bl", mk_treap, true, points);
+    sweep(figure, "leaftreap-lf", mk_treap, false, points);
+    sweep(figure, "hashtable-bl", mk_hash, true, points);
+    sweep(figure, "hashtable-lf", mk_hash, false, points);
+    sweep(figure, "abtree-bl", mk_ab, true, points);
+    sweep(figure, "abtree-lf", mk_ab, false, points);
+    sweep(figure, "srivastava_abtree(sub)", mk_ab_strict, true, points);
   };
-
-  // Panel a: thread sweep, 50% updates, alpha 0.75.
-  std::fprintf(stderr, "panel a\n");
-  sweep_threads("fig6a", "arttree-bl", mk_art, true, big, 50, 0.75, threads);
-  sweep_threads("fig6a", "arttree-lf", mk_art, false, big, 50, 0.75, threads);
-  sweep_threads("fig6a", "leaftreap-bl", mk_treap, true, big, 50, 0.75,
-                threads);
-  sweep_threads("fig6a", "leaftreap-lf", mk_treap, false, big, 50, 0.75,
-                threads);
-  sweep_threads("fig6a", "hashtable-bl", mk_hash, true, big, 50, 0.75,
-                threads);
-  sweep_threads("fig6a", "hashtable-lf", mk_hash, false, big, 50, 0.75,
-                threads);
-  sweep_threads("fig6a", "abtree-bl", mk_ab, true, big, 50, 0.75, threads);
-  sweep_threads("fig6a", "abtree-lf", mk_ab, false, big, 50, 0.75, threads);
-  sweep_threads("fig6a", "srivastava_abtree(sub)", mk_ab_strict, true, big,
-                50, 0.75, threads);
-
-  // Panel b: zipf sweep, oversubscribed.
-  std::fprintf(stderr, "panel b\n");
-  sweep_alpha("fig6b", "arttree-bl", mk_art, true, big, ov, 50, alphas);
-  sweep_alpha("fig6b", "arttree-lf", mk_art, false, big, ov, 50, alphas);
-  sweep_alpha("fig6b", "leaftreap-bl", mk_treap, true, big, ov, 50, alphas);
-  sweep_alpha("fig6b", "leaftreap-lf", mk_treap, false, big, ov, 50, alphas);
-  sweep_alpha("fig6b", "hashtable-bl", mk_hash, true, big, ov, 50, alphas);
-  sweep_alpha("fig6b", "hashtable-lf", mk_hash, false, big, ov, 50, alphas);
-  sweep_alpha("fig6b", "abtree-bl", mk_ab, true, big, ov, 50, alphas);
-  sweep_alpha("fig6b", "abtree-lf", mk_ab, false, big, ov, 50, alphas);
-  sweep_alpha("fig6b", "srivastava_abtree(sub)", mk_ab_strict, true, big, ov,
-              50, alphas);
+  // a: thread sweep, 50% updates, alpha 0.75; b: zipf sweep,
+  // oversubscribed.
+  panel("fig6a", along(run{big, 0, 50, 0.75}, &run::threads, thread_axis()));
+  panel("fig6b", along(run{big, ov, 50, 0}, &run::alpha, alphas));
   return 0;
 }

@@ -23,27 +23,19 @@ int main() {
     return std::make_unique<flock_workload::harris_opt>();
   };
 
-  // Panel a: size sweep at full subscription, 5% updates, alpha .75.
-  std::fprintf(stderr, "panel a\n");
+  auto panel = [&](const char* figure, const std::vector<point>& points) {
+    std::fprintf(stderr, "%s\n", figure);
+    sweep(figure, "harris_list", mk_harris, false, points);
+    sweep(figure, "harris_list_opt", mk_harris_opt, false, points);
+    sweep(figure, "lazylist-bl", mk_lazy, true, points);
+    sweep(figure, "lazylist-lf", mk_lazy, false, points);
+    sweep(figure, "dlist-bl", mk_dlist, true, points);
+    sweep(figure, "dlist-lf", mk_dlist, false, points);
+  };
+  // a: size sweep at full subscription, 5% updates, alpha .75;
+  // b: thread sweep on a 100-key list.
   const std::vector<uint64_t> sizes = {100, 400, 1600, 6400};
-  sweep_sizes("fig7a", "harris_list", mk_harris, false, th, 5, 0.75, sizes);
-  sweep_sizes("fig7a", "harris_list_opt", mk_harris_opt, false, th, 5, 0.75,
-              sizes);
-  sweep_sizes("fig7a", "lazylist-bl", mk_lazy, true, th, 5, 0.75, sizes);
-  sweep_sizes("fig7a", "lazylist-lf", mk_lazy, false, th, 5, 0.75, sizes);
-  sweep_sizes("fig7a", "dlist-bl", mk_dlist, true, th, 5, 0.75, sizes);
-  sweep_sizes("fig7a", "dlist-lf", mk_dlist, false, th, 5, 0.75, sizes);
-
-  // Panel b: thread sweep on a 100-key list, 5% updates.
-  std::fprintf(stderr, "panel b\n");
-  const uint64_t n = 100;
-  const std::vector<int> threads = thread_axis();
-  sweep_threads("fig7b", "harris_list", mk_harris, false, n, 5, 0.75, threads);
-  sweep_threads("fig7b", "harris_list_opt", mk_harris_opt, false, n, 5, 0.75,
-                threads);
-  sweep_threads("fig7b", "lazylist-bl", mk_lazy, true, n, 5, 0.75, threads);
-  sweep_threads("fig7b", "lazylist-lf", mk_lazy, false, n, 5, 0.75, threads);
-  sweep_threads("fig7b", "dlist-bl", mk_dlist, true, n, 5, 0.75, threads);
-  sweep_threads("fig7b", "dlist-lf", mk_dlist, false, n, 5, 0.75, threads);
+  panel("fig7a", along(run{0, th, 5, 0.75}, &run::range, sizes));
+  panel("fig7b", along(run{100, 0, 5, 0.75}, &run::threads, thread_axis()));
   return 0;
 }

@@ -15,9 +15,9 @@
 //              lock-freedom argument is untouched: a waiter converts to a
 //              helper after a bounded number of its own steps.
 //
-// Tunables (min/max spins per round, help_delay) live in config.hpp and
-// are env-overridable via FLOCK_BACKOFF_MIN / FLOCK_BACKOFF_MAX /
-// FLOCK_HELP_DELAY. The per-thread xorshift state lives in thread_context,
+// Tunables (min/max spins per round, help_delay) live in config.hpp:
+// 16 / 2048 / 8 by default, replaceable at run time with set_backoff().
+// The per-thread xorshift state lives in thread_context,
 // so an episode costs no TLS fetches beyond the context pointer the lock
 // paths already hold.
 #pragma once
@@ -73,7 +73,7 @@ class backoff {
     uint32_t n =
         t_.min_spins + static_cast<uint32_t>(backoff_rand(c_) % limit_);
     for (uint32_t i = 0; i < n; i++) cpu_pause();
-    c_->stat_backoff_spins += n;
+    stat_add(c_->stat_backoff_spins, n);
     if (limit_ < t_.max_spins) {
       limit_ = limit_ << 1 < t_.max_spins ? limit_ << 1 : t_.max_spins;
     } else {

@@ -9,7 +9,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 
 namespace flock {
 
@@ -78,7 +77,7 @@ struct backoff_tunables {
 
 /// Clamp to the ranges the spin loops assume (min >= 1 so a round always
 /// pauses; max >= min so the doubling terminates; help_delay bounded so a
-/// waiter's pre-help delay stays finite even with a hostile environment).
+/// waiter's pre-help delay stays finite whatever a caller passes).
 inline backoff_tunables clamp_backoff(backoff_tunables t) noexcept {
   if (t.min_spins < 1) t.min_spins = 1;
   if (t.min_spins > (1u << 16)) t.min_spins = 1u << 16;
@@ -88,55 +87,25 @@ inline backoff_tunables clamp_backoff(backoff_tunables t) noexcept {
   return t;
 }
 
-/// Parse env-style strings (nullptr = keep default, garbage parses as 0 and
-/// clamps). Split from the getenv call so tests can exercise parse+clamp
-/// without mutating the process environment.
-inline backoff_tunables backoff_tunables_from(const char* min_s,
-                                              const char* max_s,
-                                              const char* delay_s) noexcept {
-  backoff_tunables t;
-  if (min_s != nullptr)
-    t.min_spins = static_cast<uint32_t>(std::strtoul(min_s, nullptr, 10));
-  if (max_s != nullptr)
-    t.max_spins = static_cast<uint32_t>(std::strtoul(max_s, nullptr, 10));
-  if (delay_s != nullptr)
-    t.help_delay = static_cast<uint32_t>(std::strtoul(delay_s, nullptr, 10));
-  return clamp_backoff(t);
-}
-
-/// The production env wiring, shared with the test that guards it: any
-/// typo in these names would silently disable the knob, so the test calls
-/// this exact function after setenv'ing the real names.
-inline backoff_tunables backoff_tunables_from_env() noexcept {
-  return backoff_tunables_from(std::getenv("FLOCK_BACKOFF_MIN"),
-                               std::getenv("FLOCK_BACKOFF_MAX"),
-                               std::getenv("FLOCK_HELP_DELAY"));
-}
-
 namespace detail {
 // The live tunables are three relaxed atomics (not a plain struct):
 // set_backoff() is advertised for runtime sweeping, so it may race with
 // backoff episodes snapshotting the values on the contended paths. Each
 // field is individually clamped at write time, so even a sweep landing
 // between two reads yields a usable (min >= 1) snapshot — at worst one
-// episode mixes old and new fields.
+// episode mixes old and new fields. Constant-initialized at the defaults.
 struct backoff_state_t {
-  std::atomic<uint32_t> min_spins;
-  std::atomic<uint32_t> max_spins;
-  std::atomic<uint32_t> help_delay;
+  std::atomic<uint32_t> min_spins{backoff_tunables{}.min_spins};
+  std::atomic<uint32_t> max_spins{backoff_tunables{}.max_spins};
+  std::atomic<uint32_t> help_delay{backoff_tunables{}.help_delay};
 };
-inline backoff_state_t& backoff_state() noexcept {
-  static backoff_tunables init = backoff_tunables_from_env();
-  static backoff_state_t s{{init.min_spins}, {init.max_spins},
-                           {init.help_delay}};
-  return s;
-}
+inline constinit backoff_state_t g_backoff;
 }  // namespace detail
 
-/// Snapshot of the process-wide tunables (initialized once from
-/// FLOCK_BACKOFF_MIN / FLOCK_BACKOFF_MAX / FLOCK_HELP_DELAY).
+/// Snapshot of the process-wide tunables (the backoff_tunables defaults
+/// until set_backoff() replaces them).
 inline backoff_tunables backoff_cfg() noexcept {
-  auto& s = detail::backoff_state();
+  auto& s = detail::g_backoff;
   // mo: relaxed (all three) — tunables only shape backoff timing, never
   // correctness; a mixed old/new snapshot is explicitly tolerated (see
   // the racing-sweep note above backoff_state_t).
@@ -149,7 +118,7 @@ inline backoff_tunables backoff_cfg() noexcept {
 /// run lock traffic; benchmarks/tests can sweep without re-execing.
 inline void set_backoff(backoff_tunables t) noexcept {
   t = clamp_backoff(t);
-  auto& s = detail::backoff_state();
+  auto& s = detail::g_backoff;
   // mo: relaxed (all three) — each field is clamped-valid on its own, so
   // readers need no cross-field ordering; see backoff_cfg.
   s.min_spins.store(t.min_spins, std::memory_order_relaxed);

@@ -114,7 +114,7 @@ namespace detail {
 /// supply one (allocator.hpp's failure contract).
 template <class F>
 descriptor* new_descriptor_ctx(thread_context* c, F&& f) {
-  c->stat_created++;
+  stat_add(c->stat_created);
   descriptor* d = pool_new_ctx<descriptor>(c);
   if (d == nullptr) [[unlikely]]
     out_of_memory("descriptor");

@@ -65,7 +65,7 @@
 // backoff (backoff.hpp), and converts to a helper only when one of two
 // things happens:
 //
-//   * the backoff budget (FLOCK_HELP_DELAY rounds) is exhausted while the
+//   * the backoff budget (help_delay rounds) is exhausted while the
 //     word has not moved — the holder may be descheduled mid-thunk, so we
 //     help to guarantee progress; or
 //   * the holder's descriptor has done == true while the lock is still
@@ -274,7 +274,7 @@ inline bool run_and_unlock(thread_context* c, lock_word& st, descriptor* d) {
 /// Consumes no enclosing log slots.
 inline void help(thread_context* c, lock_word& st, uint64_t cur_packed) {
   descriptor* d = lv_descr(val_of(cur_packed));
-  c->stat_attempted++;
+  stat_add(c->stat_attempted);
   d->helped.store(true, std::memory_order_seq_cst);  // hand-off (see header)
   // Adopt the descriptor's epoch before validating: if the validation
   // passes, the creator was still announced at d->epoch when we re-read,
@@ -285,7 +285,7 @@ inline void help(thread_context* c, lock_word& st, uint64_t cur_packed) {
   int64_t prev =
       g_epoch.adopt_ctx(c, d->epoch.load(std::memory_order_relaxed));
   if (st.read_raw_packed_sc() == cur_packed) {
-    c->stat_ran++;
+    stat_add(c->stat_ran);
     // Chaos window: helper validated and adopted, about to run the thunk
     // (a dead helper here must not wedge anyone — others revalidate and
     // run the same descriptor).
@@ -333,7 +333,7 @@ inline bool help_throttled(thread_context* c, lock_word& st,
       if (st.read_raw_packed_relaxed() != cur_packed) {
         // The word moved on: the holder (or another helper) made
         // progress, so our help is no longer needed.
-        c->stat_helps_avoided++;
+        stat_add(c->stat_helps_avoided);
         return false;
       }
       // mo: acquire — same pairing as the entry done-read above.
@@ -368,7 +368,7 @@ inline void retire_nested(thread_context* c, descriptor* d) {
 /// Pool-reuse a never-helped descriptor, epoch-retire a helped one.
 inline void retire_judged(thread_context* c, descriptor* d, bool helped) {
   if (!helped) {
-    c->stat_reused++;
+    stat_add(c->stat_reused);
     pool_delete_ctx(c, d);
   } else {
     epoch_retire_ctx(c, d);

@@ -1,6 +1,6 @@
 // stats.hpp — lightweight introspection counters for the helping
 // machinery. The counters live directly in the per-thread context
-// (thread_context.hpp), so the hot-path cost is one plain increment on a
+// (thread_context.hpp), so the hot-path cost is one plain add on a
 // structure that is already resident; this header provides the aggregate
 // view. Used by benchmarks to report helping rates and by tests to assert
 // helping actually happened.
@@ -26,8 +26,9 @@ inline std::atomic<uint64_t> g_resize_deferrals{0};
 }  // namespace detail
 
 // The counters, declared once. stats_snapshot's fields and every dump
-// of them (bench/harness.hpp json_reporter) expand this list, so a
-// counter added here is dumped with no second list to keep in step.
+// of them (bench/contended_locks.cpp's per-point deltas) expand this
+// list, so a counter added here is dumped with no second list to keep
+// in step.
 // X(name) per counter, in dump order.
 #define FLOCK_STATS_COUNTERS(X)                                              \
   X(descriptors_created) /* lock acquisitions (lock-free mode) */           \
@@ -51,22 +52,21 @@ struct stats_snapshot {
 };
 
 /// Aggregate counters across all threads (monotonic since process start).
-/// The per-thread cells are plain single-writer words, so a snapshot
-/// taken while traffic runs is approximate: each cell is read whole
-/// (no tearing on word-aligned targets) but cells are not mutually
-/// consistent. Monitoring output only — never use for control flow.
-/// (.tsan-suppressions carries the matching race:flock::stats entry.)
+/// The per-thread cells are single-writer relaxed atomics, so a snapshot
+/// taken while traffic runs is approximate: each cell is read whole but
+/// cells are not mutually consistent. Monitoring output only — never use
+/// for control flow.
 inline stats_snapshot stats() {
   stats_snapshot s;
   const int bound = thread_id_bound();
   for (int i = 0; i < bound; i++) {
     const detail::thread_context& c = detail::g_ctx[i];
-    s.descriptors_created += c.stat_created;
-    s.helps_attempted += c.stat_attempted;
-    s.helps_run += c.stat_ran;
-    s.descriptors_reused += c.stat_reused;
-    s.helps_avoided += c.stat_helps_avoided;
-    s.backoff_spins += c.stat_backoff_spins;
+    s.descriptors_created += detail::stat_read(c.stat_created);
+    s.helps_attempted += detail::stat_read(c.stat_attempted);
+    s.helps_run += detail::stat_read(c.stat_ran);
+    s.descriptors_reused += detail::stat_read(c.stat_reused);
+    s.helps_avoided += detail::stat_read(c.stat_helps_avoided);
+    s.backoff_spins += detail::stat_read(c.stat_backoff_spins);
   }
   s.alloc_failures = alloc_failures();
   // mo: relaxed — monotonic monitoring counter, same approximate-snapshot

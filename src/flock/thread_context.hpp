@@ -65,12 +65,13 @@ struct alignas(2 * kCacheLine) thread_context {
   log_cursor log;            // cursor into the current thunk's log
   int id = -1;               // dense id in [0, kMaxThreads)
   uint64_t commit_count = 0;  // log-slot commits (instrumentation)
-  uint64_t stat_created = 0;   // descriptors created (lock acquisitions)
-  uint64_t stat_attempted = 0; // help() entries
-  uint64_t stat_ran = 0;       // help() revalidations that ran a thunk
-  uint64_t stat_reused = 0;    // never-helped fast-path descriptor reuse
-  uint64_t stat_helps_avoided = 0;  // throttled waits resolved without helping
-  uint64_t stat_backoff_spins = 0;  // cpu_pause iterations spent backing off
+  // Stat cells, written only by the owner (stat_add), read by stats():
+  std::atomic<uint64_t> stat_created{0};    // descriptors created
+  std::atomic<uint64_t> stat_attempted{0};  // help() entries
+  std::atomic<uint64_t> stat_ran{0};        // help() runs that ran a thunk
+  std::atomic<uint64_t> stat_reused{0};     // fast-path descriptor reuse
+  std::atomic<uint64_t> stat_helps_avoided{0};  // waits ended unhelped
+  std::atomic<uint64_t> stat_backoff_spins{0};  // cpu_pause iterations
   uint64_t backoff_rng = 0;    // xorshift state (lazily seeded from id)
   // Deferred nested retires (lock.hpp, retire_nested): set while this
   // thread runs its own top-level descriptor; the list links nested
@@ -107,6 +108,22 @@ struct alignas(2 * kCacheLine) thread_context {
 };
 
 inline constinit thread_context g_ctx[kMaxThreads]{};
+
+/// Bump a stat cell of the calling thread's own context. A load and a
+/// store, not an RMW: the owner is the only writer, so this compiles to a
+/// plain add, and stats() reading the cell concurrently is not a race.
+inline void stat_add(std::atomic<uint64_t>& cell, uint64_t n = 1) noexcept {
+  // mo: relaxed (both) — single-writer monitoring counter; readers need
+  // only an untorn value, never ordering with the protocol's accesses.
+  cell.store(cell.load(std::memory_order_relaxed) + n,
+             std::memory_order_relaxed);
+}
+
+/// Read any thread's stat cell (stats()): an untorn, unordered value.
+inline uint64_t stat_read(const std::atomic<uint64_t>& cell) noexcept {
+  // mo: relaxed — see stat_add.
+  return cell.load(std::memory_order_relaxed);
+}
 
 /// Aborts: one more live thread than kMaxThreads. Out of line and cold so
 /// the cap check adds only a compare and a call to thread registration.

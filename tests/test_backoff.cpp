@@ -1,11 +1,10 @@
 // Contended-path backoff and help throttling (flock/backoff.hpp,
 // lock.hpp help_throttled, config.hpp tunables): progress is never
 // forfeited — a throttled waiter still helps a stalled owner after a
-// bounded delay — and the env-overridable knobs parse and clamp sanely.
+// bounded delay — and set_backoff clamps the tunables sanely.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <thread>
 
 #include "flock/flock.hpp"
@@ -19,66 +18,34 @@ struct tunables_guard {
   ~tunables_guard() { flock::set_backoff(saved); }
 };
 
-// --- knob parsing and clamping ---------------------------------------------
+// --- clamping -----------------------------------------------------------
 
-TEST(Backoff, TunablesParseFromStrings) {
-  auto t = flock::backoff_tunables_from("64", "512", "3");
-  EXPECT_EQ(t.min_spins, 64u);
-  EXPECT_EQ(t.max_spins, 512u);
-  EXPECT_EQ(t.help_delay, 3u);
-}
-
-TEST(Backoff, TunablesNullKeepsDefaults) {
-  flock::backoff_tunables d;
-  auto t = flock::backoff_tunables_from(nullptr, nullptr, nullptr);
-  EXPECT_EQ(t.min_spins, d.min_spins);
-  EXPECT_EQ(t.max_spins, d.max_spins);
-  EXPECT_EQ(t.help_delay, d.help_delay);
+TEST(Backoff, SetBackoffClamps) {
+  tunables_guard g;
+  // A zero round length would never pause.
+  flock::set_backoff({0, 0, 99999});
+  EXPECT_EQ(flock::backoff_cfg().min_spins, 1u);
+  EXPECT_GE(flock::backoff_cfg().max_spins, 1u);
+  EXPECT_EQ(flock::backoff_cfg().help_delay, 256u);
 }
 
 TEST(Backoff, TunablesClampHostileValues) {
-  // Garbage parses as 0; a zero round length would never pause.
-  auto t = flock::backoff_tunables_from("garbage", "also-garbage", "junk");
-  EXPECT_EQ(t.min_spins, 1u);
-  EXPECT_GE(t.max_spins, t.min_spins);
-  EXPECT_EQ(t.help_delay, 0u);  // junk delay -> 0 -> helping unthrottled
-
+  tunables_guard g;
+  auto set = [](flock::backoff_tunables t) {
+    flock::set_backoff(t);
+    return flock::backoff_cfg();
+  };
   // Oversized values are capped so a single round stays bounded.
-  t = flock::backoff_tunables_from("999999999", "999999999", "999999999");
+  auto t = set({999999999, 999999999, 999999999});
   EXPECT_EQ(t.min_spins, 1u << 16);
   EXPECT_EQ(t.max_spins, 1u << 20);
   EXPECT_EQ(t.help_delay, 256u);
 
   // max below min is raised to min, not left inverted.
-  t = flock::backoff_tunables_from("128", "2", nullptr);
+  t = set({128, 2, 3});
   EXPECT_EQ(t.min_spins, 128u);
   EXPECT_EQ(t.max_spins, 128u);
-}
-
-TEST(Backoff, TunablesReadEnvironment) {
-  // Exercises the exact production wiring (backoff_tunables_from_env is
-  // what initializes the live tunables), so a typo in any of the three
-  // getenv names would fail here instead of silently disabling the knob.
-  // The live backoff_cfg() snapshot itself was taken at first use and is
-  // deliberately not re-read.
-  ::setenv("FLOCK_BACKOFF_MIN", "7", 1);
-  ::setenv("FLOCK_BACKOFF_MAX", "70", 1);
-  ::setenv("FLOCK_HELP_DELAY", "7000", 1);
-  auto t = flock::backoff_tunables_from_env();
-  ::unsetenv("FLOCK_BACKOFF_MIN");
-  ::unsetenv("FLOCK_BACKOFF_MAX");
-  ::unsetenv("FLOCK_HELP_DELAY");
-  EXPECT_EQ(t.min_spins, 7u);
-  EXPECT_EQ(t.max_spins, 70u);
-  EXPECT_EQ(t.help_delay, 256u);  // clamped
-}
-
-TEST(Backoff, SetBackoffClamps) {
-  tunables_guard g;
-  flock::set_backoff({0, 0, 99999});
-  EXPECT_EQ(flock::backoff_cfg().min_spins, 1u);
-  EXPECT_GE(flock::backoff_cfg().max_spins, 1u);
-  EXPECT_EQ(flock::backoff_cfg().help_delay, 256u);
+  EXPECT_EQ(t.help_delay, 3u);
 }
 
 // --- progress under throttling ---------------------------------------------

@@ -52,6 +52,25 @@ TEST_P(DlistTest, ConcurrentNeighborsContention) {
   set_test::concurrent_stress(s, 8, 16, 5000, 90);
 }
 
+// Exact log-slot commits per successful operation in lock-free mode (the
+// paper's "a successful insert commits about 5 entries to the log"). A
+// change to what a dlist thunk logs must update these on purpose.
+TEST(DlistLogSlots, FiveCommitsPerInsertEightPerRemove) {
+  flock::set_blocking(false);
+  flock_ds::dlist<uint64_t, uint64_t> d;
+  // One resident element so inserts splice between sentinels and nodes.
+  d.insert(500, 500);
+  const uint64_t n = 1000;
+  const uint64_t c0 = flock::tls_commit_count();
+  for (uint64_t i = 0; i < n; i++) d.insert(1000 + i, i);
+  const uint64_t c1 = flock::tls_commit_count();
+  for (uint64_t i = 0; i < n; i++) d.remove(1000 + i);
+  const uint64_t c2 = flock::tls_commit_count();
+  EXPECT_EQ(c1 - c0, 5 * n);
+  EXPECT_EQ(c2 - c1, 8 * n);
+  flock::epoch_manager::instance().flush();
+}
+
 INSTANTIATE_TEST_SUITE_P(Modes, DlistTest, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& i) {
                            return i.param ? "blocking" : "lockfree";
