@@ -74,17 +74,10 @@ point_result run_point(std::vector<lock_slot>& slots, int threads,
         lock_slot& s = slots[pick(rng)];
         auto* ctr = s.ctr;
         flock::with_epoch([&] {
-          if constexpr (Strict) {
-            return flock::strict_lock(s.lk, [ctr] {
-              ctr->store(ctr->load() + 1);
-              return true;
-            });
-          } else {
-            return flock::try_lock(s.lk, [ctr] {
-              ctr->store(ctr->load() + 1);
-              return true;
-            });
-          }
+          return flock::acquire<Strict>(s.lk, [ctr] {
+            ctr->store(ctr->load() + 1);
+            return true;
+          });
         });
         n++;
       }

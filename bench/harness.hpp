@@ -1,19 +1,22 @@
 // harness.hpp — shared benchmark harness for the figure-reproduction
 // binaries and contended_locks. Reproduces the paper's §8 methodology at
-// this machine's scale; all knobs are env-overridable:
-//   FLOCK_BENCH_MS         timed window per point   (default 150 ms)
-//   FLOCK_BENCH_REPS       repetitions averaged     (default 1; paper used 3)
-//   FLOCK_MAX_THREADS      "all threads" point      (default hw concurrency)
-//   FLOCK_OVERSUB_THREADS  oversubscribed point     (default 2x hw concurrency)
-//   FLOCK_LARGE_N          the paper's 100M-key axis (default 1M here)
-//   FLOCK_SMALL_N          the paper's 100K-key axis (default 100K)
-// contended_locks reads only FLOCK_BENCH_MS.
+// this machine's scale. Three env knobs, each a positive integer (any
+// other value exits non-zero with a one-line message):
+//   FLOCK_BENCH_MS   timed window per point    (default 150 ms)
+//   FLOCK_LARGE_N    the paper's 100M-key axis (default 1M here)
+//   FLOCK_SMALL_N    the paper's 100K-key axis (default 100K)
+// contended_locks reads only FLOCK_BENCH_MS. The "all threads" point is
+// the hardware concurrency and the oversubscribed point twice that. Each
+// point is one run: repeat the process to see the spread.
 //
 // Output format (stdout): one CSV row per measurement:
 //   figure,series,x,mops
 // Progress notes go to stderr.
 #pragma once
 
+#include <algorithm>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -28,25 +31,31 @@
 
 namespace bench {
 
+/// The positive integer in env var `name`, or `dflt` when it is unset.
+/// Any other value ends the process with exit status 2.
 inline long env_long(const char* name, long dflt) {
   const char* v = std::getenv(name);
-  return v != nullptr ? std::atol(v) : dflt;
+  if (v == nullptr) return dflt;
+  char* end = nullptr;
+  errno = 0;
+  long n = std::strtol(v, &end, 10);
+  if (end == v || *end != '\0' || errno != 0 || n <= 0 || n > INT_MAX) {
+    std::fprintf(stderr, "%s=%s: expected a positive integer\n", name, v);
+    std::exit(2);
+  }
+  return n;
 }
 
 struct env {
   int ms = static_cast<int>(env_long("FLOCK_BENCH_MS", 150));
-  int reps = static_cast<int>(env_long("FLOCK_BENCH_REPS", 1));
-  int max_threads = static_cast<int>(env_long(
-      "FLOCK_MAX_THREADS",
-      static_cast<long>(std::thread::hardware_concurrency())));
   uint64_t large_n =
       static_cast<uint64_t>(env_long("FLOCK_LARGE_N", 1000000));
   uint64_t small_n =
       static_cast<uint64_t>(env_long("FLOCK_SMALL_N", 100000));
+  int max_threads =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
   // Oversubscription point: 1.5x the paper's 216/144; here 2x cores.
-  int oversub_threads = static_cast<int>(
-      env_long("FLOCK_OVERSUB_THREADS",
-               2 * static_cast<long>(std::thread::hardware_concurrency())));
+  int oversub_threads = 2 * max_threads;
 };
 
 inline env& cfg() {
@@ -85,12 +94,11 @@ std::vector<point> along(run base, T run::*field, const std::vector<T>& xs) {
   return v;
 }
 
-/// Measure one series over `points`, one CSV row each (the mean of
-/// cfg().reps runs). The structure is rebuilt and prefilled only when a
-/// point's range changes, so a thread, update or alpha axis keeps one
-/// prefill at ~half occupancy (the paper's steady state) and a size axis
-/// gets a fresh structure per size. The zipf table is rebuilt only when
-/// the range or alpha changes.
+/// Measure one series over `points`, one CSV row each. The structure is
+/// rebuilt and prefilled only when a point's range changes, so a thread,
+/// update or alpha axis keeps one prefill at ~half occupancy (the paper's
+/// steady state) and a size axis gets a fresh structure per size. The
+/// zipf table is rebuilt only when the range or alpha changes.
 template <class Factory>
 void sweep(const char* figure, const std::string& series, Factory&& make,
            bool blocking, const std::vector<point>& points) {
@@ -111,10 +119,7 @@ void sweep(const char* figure, const std::string& series, Factory&& make,
     rc.threads = p.r.threads;
     rc.update_percent = p.r.update_percent;
     rc.millis = cfg().ms;
-    double total = 0;
-    for (int i = 0; i < cfg().reps; i++)
-      total += flock_workload::run_mixed(*set, *dist, rc).mops;
-    emit(figure, series, p.x, total / cfg().reps);
+    emit(figure, series, p.x, flock_workload::run_mixed(*set, *dist, rc).mops);
   }
   flock::epoch_manager::instance().flush();
 }

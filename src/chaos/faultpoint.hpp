@@ -40,9 +40,9 @@
 // victim-only kill with nth=1 and the *first* protocol-window crossing of
 // the designated thread faults, every run, regardless of scheduling.
 // Seeded pseudo-random plans (`arm_seeded`, seed from FLOCK_CHAOS_SEED or
-// set at runtime like set_backoff) arm stalls across the runtime's
-// points plus alloc-fail at the resize trigger — the two fault classes
-// that are safe to inject blindly. (Blind kill/alloc-fail at arbitrary
+// passed by the test) arm stalls across the runtime's points plus
+// alloc-fail at the resize trigger — the two fault classes that are safe
+// to inject blindly. (Blind kill/alloc-fail at arbitrary
 // points is deliberately not part of seeded plans: a killed thread parks
 // until the test releases it, and the runtime's defined alloc-failure
 // surface is the resize trigger and the pool/array null contract — see
@@ -107,7 +107,9 @@
   /* write_once publication store pending */                                \
   X(wo_publish, "wo.publish", sched)                                        \
   /* find saw the bucket unforwarded, chain walk pending */                 \
-  X(ht_read_post_flag, "ht.read.post_flag", sched)
+  X(ht_read_post_flag, "ht.read.post_flag", sched)                          \
+  /* lock waiter's backoff round spun, lock-word re-check pending */        \
+  X(backoff_round, "backoff.round", sched)
 
 // Points that only tests cross, one protocol window each.
 #define FLOCK_CHAOS_TEST_POINTS(X)                                          \
@@ -432,8 +434,7 @@ inline uint64_t seed_from_env() {
 /// odd-ish seeds — alloc-fail bursts at the resize trigger. Safe to run
 /// under any workload: stalls are bounded and the resize trigger is the
 /// one allocation site the runtime survives failing (see hashtable.hpp).
-/// Runtime-settable per test, like set_backoff: reset() then
-/// arm_seeded(next_seed).
+/// A test can re-plan at run time: reset() then arm_seeded(next_seed).
 inline void arm_seeded(uint64_t seed, int entries = 6) {
   uint64_t x = seed ? seed : 0x9e3779b97f4a7c15ULL;
   auto next = [&x]() {

@@ -64,14 +64,6 @@ class abtree {
     flock::lock lck;
   };
 
-  template <class F>
-  static bool acquire(flock::lock& l, F&& f) {
-    if constexpr (Strict)
-      return flock::strict_lock(l, std::forward<F>(f));
-    else
-      return flock::try_lock(l, std::forward<F>(f));
-  }
-
   static inode* as_int(node* n) { return static_cast<inode*>(n); }
   static leafnode* as_leaf(node* n) { return static_cast<leafnode*>(n); }
 
@@ -110,7 +102,7 @@ class abtree {
       while (true) {
         node* n = anchor_.child.load();
         if (n == nullptr) {
-          if (acquire(anchor_.lck, [=, this] {
+          if (flock::acquire<Strict>(anchor_.lck, [=, this] {
                 if (anchor_.child.load() != nullptr) return false;
                 anchor_.child =
                     static_cast<node*>(flock::allocate<leafnode>(&k, &v, 1));
@@ -178,7 +170,7 @@ class abtree {
         if (find_in_leaf(lf, k) < 0) return false;
         if (parent == nullptr && lf->count == 1) {
           // Removing the only key in the tree.
-          if (acquire(anchor_.lck, [=, this] {
+          if (flock::acquire<Strict>(anchor_.lck, [=, this] {
                 if (anchor_.child.load() != static_cast<node*>(lf))
                   return false;
                 anchor_.child = static_cast<node*>(nullptr);
@@ -222,7 +214,7 @@ class abtree {
   template <class Make>
   bool replace_leaf(inode* parent, leafnode* lf, Make make) {
     if (parent == nullptr) {
-      return acquire(anchor_.lck, [=, this] {
+      return flock::acquire<Strict>(anchor_.lck, [=, this] {
         if (anchor_.child.load() != static_cast<node*>(lf)) return false;
         anchor_.child = static_cast<node*>(make(lf));
         flock::retire<leafnode>(lf);
@@ -232,7 +224,7 @@ class abtree {
     // The slot index must be revalidated by value: parent's key array is
     // immutable, so the index for lf's key range is stable.
     int idx = route(parent, lf->keys[0]);
-    return acquire(parent->lck, [=] {
+    return flock::acquire<Strict>(parent->lck, [=] {
       if (parent->removed.load()) return false;
       if (parent->children[idx].load() != static_cast<node*>(lf))
         return false;
@@ -246,7 +238,7 @@ class abtree {
 
   // Split the full root n into two nodes under a fresh root.
   void split_root(node* n) {
-    acquire(anchor_.lck, [=, this] {
+    flock::acquire<Strict>(anchor_.lck, [=, this] {
       if (anchor_.child.load() != n) return false;
       if (n->is_leaf) {
         node* parts[2];
@@ -260,7 +252,7 @@ class abtree {
         return true;
       }
       inode* in = as_int(n);
-      return acquire(in->lck, [=, this] {
+      return flock::acquire<Strict>(in->lck, [=, this] {
         if (in->removed.load()) return false;
         node* parts[2];
         K sep = split_internal(in, parts);
@@ -276,9 +268,9 @@ class abtree {
 
   // Replace a 0-key internal root by its only child.
   void collapse_root(inode* r) {
-    acquire(anchor_.lck, [=, this] {
+    flock::acquire<Strict>(anchor_.lck, [=, this] {
       if (anchor_.child.load() != static_cast<node*>(r)) return false;
-      return acquire(r->lck, [=, this] {
+      return flock::acquire<Strict>(r->lck, [=, this] {
         if (r->removed.load()) return false;
         node* only = r->children[0].load();
         anchor_.child = only;
@@ -293,7 +285,7 @@ class abtree {
   // (or anchor). Locks: parent -> n -> c (c only if internal).
   void split_child(inode* parent, inode* n, int idx, node* c) {
     auto body = [=, this] {
-      return acquire(n->lck, [=, this] {
+      return flock::acquire<Strict>(n->lck, [=, this] {
         if (n->removed.load()) return false;
         if (n->children[idx].load() != c) return false;
         auto finish = [=, this](node* const parts[2], K sep) {
@@ -319,7 +311,7 @@ class abtree {
           flock::retire<leafnode>(as_leaf(c));
           return true;
         }
-        return acquire(as_int(c)->lck, [=, this] {
+        return flock::acquire<Strict>(as_int(c)->lck, [=, this] {
           if (as_int(c)->removed.load()) return false;
           node* parts[2];
           K sep = split_internal(as_int(c), parts);
@@ -338,7 +330,7 @@ class abtree {
   // -> right sibling (internal children only).
   void fix_child(inode* parent, inode* n, int idx, node* c) {
     auto body = [=, this] {
-      return acquire(n->lck, [=, this] {
+      return flock::acquire<Strict>(n->lck, [=, this] {
         if (n->removed.load()) return false;
         if (n->children[idx].load() != c) return false;
         // Choose sibling: right if one exists, else left.
@@ -412,9 +404,9 @@ class abtree {
         // Internal children: lock left then right for a stable snapshot.
         inode* L = as_int(lc);
         inode* R = as_int(rc);
-        return acquire(L->lck, [=, this] {
+        return flock::acquire<Strict>(L->lck, [=, this] {
           if (L->removed.load()) return false;
-          return acquire(R->lck, [=, this] {
+          return flock::acquire<Strict>(R->lck, [=, this] {
             if (R->removed.load()) return false;
             // Merge keys: L.keys + sep + R.keys; children concatenated.
             K ks[2 * B + 1];
@@ -455,13 +447,13 @@ class abtree {
   template <class Body>
   void lock_parent_then(inode* parent, inode* n, Body body) {
     if (parent == nullptr) {
-      acquire(anchor_.lck, [=, this] {
+      flock::acquire<Strict>(anchor_.lck, [=, this] {
         if (anchor_.child.load() != static_cast<node*>(n)) return false;
         return body();
       });
     } else {
       int idx = route(parent, n->keys[0]);
-      acquire(parent->lck, [=] {
+      flock::acquire<Strict>(parent->lck, [=] {
         if (parent->removed.load()) return false;
         if (parent->children[idx].load() != static_cast<node*>(n))
           return false;

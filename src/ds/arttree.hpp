@@ -144,14 +144,6 @@ class arttree {
     return static_cast<uint8_t>(k >> (56 - 8 * d));
   }
 
-  template <class F>
-  static bool acquire(flock::lock& l, F&& f) {
-    if constexpr (Strict)
-      return flock::strict_lock(l, std::forward<F>(f));
-    else
-      return flock::try_lock(l, std::forward<F>(f));
-  }
-
   static int capacity(ntype t) {
     switch (t) {
       case N4:
@@ -295,7 +287,7 @@ class arttree {
         inner* nn = n;
         flock::mutable_<node*>* s = slot;
         leafnode* lf = target;
-        if (acquire(nn->lck, [=] {
+        if (flock::acquire<Strict>(nn->lck, [=] {
               if (nn->removed.load()) return false;
               if (s->load() != static_cast<node*>(lf)) return false;
               s->store(nullptr);  // tombstone
@@ -341,7 +333,7 @@ class arttree {
         return append_narrow(static_cast<node16*>(n), 16, b, k, v);
       case N48: {
         auto* nn = static_cast<node48*>(n);
-        return acquire(nn->lck, [=] {
+        return flock::acquire<Strict>(nn->lck, [=] {
           if (nn->removed.load()) return false;
           // mo: acquire — matching find_slot's reader side; under the node
           // lock the value is stable, the order just keeps one protocol.
@@ -370,7 +362,7 @@ class arttree {
 
   template <class NN>
   bool append_narrow(NN* nn, int cap, uint8_t b, K k, V v) {
-    return acquire(nn->lck, [=] {
+    return flock::acquire<Strict>(nn->lck, [=] {
       if (nn->removed.load()) return false;
       uint64_t c = nn->count.load();  // logged
       if (c >= static_cast<uint64_t>(cap)) return false;  // raced to full
@@ -393,7 +385,7 @@ class arttree {
   }
 
   bool set_empty_slot(inner* n, flock::mutable_<node*>* slot, K k, V v) {
-    return acquire(n->lck, [=] {
+    return flock::acquire<Strict>(n->lck, [=] {
       if (n->removed.load()) return false;
       if (slot->load() != nullptr) return false;
       slot->store(flock::allocate<leafnode>(k, v));
@@ -406,7 +398,7 @@ class arttree {
   // chain is built fully before the single publishing slot swap.
   bool split_leaf(inner* n, flock::mutable_<node*>* slot, leafnode* l, K k,
                   V v, int d0) {
-    return acquire(n->lck, [=, this] {
+    return flock::acquire<Strict>(n->lck, [=, this] {
       if (n->removed.load()) return false;
       if (slot->load() != static_cast<node*>(l)) return false;
       int dd = d0;
@@ -436,10 +428,10 @@ class arttree {
     uint8_t pb = key_byte(k, parent_depth);
     flock::mutable_<node*>* pslot = find_slot(parent, pb);
     if (pslot == nullptr) return;
-    acquire(parent->lck, [=, this] {
+    flock::acquire<Strict>(parent->lck, [=, this] {
       if (parent->removed.load()) return false;
       if (pslot->load() != static_cast<node*>(n)) return false;
-      return acquire(n->lck, [=, this] {
+      return flock::acquire<Strict>(n->lck, [=, this] {
         if (n->removed.load()) return false;
         inner* bigger = copy_grown(n);
         pslot->store(bigger);

@@ -39,14 +39,6 @@ class dlist {
     return l->sentinel == 0 && l->k == k;
   }
 
-  template <class F>
-  static bool acquire(flock::lock& l, F&& f) {
-    if constexpr (Strict)
-      return flock::strict_lock(l, std::forward<F>(f));
-    else
-      return flock::try_lock(l, std::forward<F>(f));
-  }
-
  public:
   dlist() {
     head_ = flock::pool_new<link>(K{}, V{}, nullptr, nullptr, -1);
@@ -82,7 +74,7 @@ class dlist {
         if (key_is(next, k) && !next->removed.load()) return false;
         link* prev = next->prev.load();
         if (key_less(prev, k) &&
-            acquire(prev->lck, [=] {
+            flock::acquire<Strict>(prev->lck, [=] {
               if (prev->removed.load() ||              // validate
                   prev->next.load() != next)
                 return false;
@@ -102,8 +94,8 @@ class dlist {
         link* lnk = find_link(k);
         if (!key_is(lnk, k)) return false;  // not found
         link* prev = lnk->prev.load();
-        if (acquire(prev->lck, [=] {
-              return acquire(lnk->lck, [=] {
+        if (flock::acquire<Strict>(prev->lck, [=] {
+              return flock::acquire<Strict>(lnk->lck, [=] {
                 if (prev->removed.load() ||              // validate
                     prev->next.load() != lnk)
                   return false;

@@ -151,14 +151,6 @@ class hashtable {
   // two >= kMinBuckets and the cursor moves only in whole chunks.
   static_assert(kMinBuckets % kMigrateBatch == 0);
 
-  template <class F>
-  static bool acquire(flock::lock& l, F&& f) {
-    if constexpr (Strict)
-      return flock::strict_lock(l, std::forward<F>(f));
-    else
-      return flock::try_lock(l, std::forward<F>(f));
-  }
-
  public:
   /// `size_hint`: expected number of keys; the initial bucket count is the
   /// next power of two >= size_hint (load factor ~1). The table now grows
@@ -244,7 +236,7 @@ class hashtable {
         // validation fails against the completed unlink and we retry.
         if (cur != nullptr && cur->k == k && !cur->removed.load())
           return false;
-        const bool ok = acquire(s->lck, [=] {
+        const bool ok = flock::acquire<Strict>(s->lck, [=] {
           if (s->removed.load()) return false;  // forwarded meanwhile
           if (prev != s && prev->removed.load()) return false;
           if (prev->next.load() != cur) return false;
@@ -266,7 +258,7 @@ class hashtable {
         bucket* s = locate_update(k);
         auto [prev, cur] = search_from(s, k);
         if (cur == nullptr || cur->k != k) return false;
-        const bool ok = acquire(s->lck, [=] {
+        const bool ok = flock::acquire<Strict>(s->lck, [=] {
           if (s->removed.load()) return false;  // forwarded meanwhile
           if (prev != s && prev->removed.load()) return false;
           if (cur->removed.load()) return false;
@@ -597,7 +589,7 @@ class hashtable {
     bucket* lo = &nt->buckets[i];
     bucket* hi = &nt->buckets[i + t->nbuckets()];
     const uint64_t bit = t->nbuckets();  // hash bit the split keys on
-    bool did = acquire(s->lck, [=] {
+    bool did = flock::acquire<Strict>(s->lck, [=] {
       if (s->removed.load()) return false;  // lost the race
       // The flag load above is the one read whose value runs of this
       // thunk can disagree on, so it is the only read logged here (the
@@ -657,9 +649,9 @@ class hashtable {
     // unit has no such window: its single flag is the thunk's last
     // store.)
     if (hi->removed.read_raw()) return 0;  // unit already migrated
-    bool did = acquire(lo->lck, [=] {
+    bool did = flock::acquire<Strict>(lo->lck, [=] {
       if (lo->removed.load()) return false;  // lost the race
-      return acquire(hi->lck, [=] {
+      return flock::acquire<Strict>(hi->lck, [=] {
         // hi's flag needs no check: only this unit sets it, inside this
         // thunk, and the one descriptor whose logged lo check saw false is
         // the only one that ever gets here (lo's flag is set before lo's
@@ -934,9 +926,13 @@ bool try_move(hashtable<K, V, Strict>& from, hashtable<K, V, Strict>& to,
     };
     bool ok;
     if (reinterpret_cast<uintptr_t>(fs) < reinterpret_cast<uintptr_t>(ts))
-      ok = ht::acquire(fs->lck, [=] { return ht::acquire(ts->lck, splice); });
+      ok = flock::acquire<Strict>(fs->lck, [=] {
+        return flock::acquire<Strict>(ts->lck, splice);
+      });
     else
-      ok = ht::acquire(ts->lck, [=] { return ht::acquire(fs->lck, splice); });
+      ok = flock::acquire<Strict>(ts->lck, [=] {
+        return flock::acquire<Strict>(fs->lck, splice);
+      });
     if (ok) {
       from.note_update(-1);
       to.note_update(+1);

@@ -27,23 +27,11 @@ class lazylist {
     }
   };
 
-  template <class F>
-  static bool acquire(flock::lock& l, F&& f) {
-    if constexpr (Strict)
-      return flock::strict_lock(l, std::forward<F>(f));
-    else
-      return flock::try_lock(l, std::forward<F>(f));
-  }
-
  public:
   // Extension hooks for cross-structure operations (see ds/move.hpp):
-  // the node type, the neighborhood search, and the lock policy.
+  // the node type and the neighborhood search.
   using node_t = node;
   std::pair<node*, node*> search_for(K k) { return search(k); }
-  template <class F>
-  static bool acquire_lock(flock::lock& l, F&& f) {
-    return acquire(l, std::forward<F>(f));
-  }
 
   lazylist() { head_ = flock::pool_new<node>(K{}, V{}, nullptr); }
 
@@ -78,7 +66,7 @@ class lazylist {
         // the completed unlink and we retry.
         if (cur != nullptr && cur->k == k && !cur->removed.load())
           return false;
-        if (acquire(prev->lck, [=] {
+        if (flock::acquire<Strict>(prev->lck, [=] {
               if (prev->removed.load()) return false;      // validate
               if (prev->next.load() != cur) return false;  // validate
               node* n = flock::allocate<node>(k, v, cur);
@@ -96,8 +84,8 @@ class lazylist {
       while (true) {
         auto [prev, cur] = search(k);
         if (cur == nullptr || cur->k != k) return false;
-        if (acquire(prev->lck, [=] {
-              return acquire(cur->lck, [=] {
+        if (flock::acquire<Strict>(prev->lck, [=] {
+              return flock::acquire<Strict>(cur->lck, [=] {
                 if (prev->removed.load() || cur->removed.load())
                   return false;                              // validate
                 if (prev->next.load() != cur) return false;  // validate

@@ -95,14 +95,6 @@ class leaftreap {
     }
   };
 
-  template <class F>
-  static bool acquire(flock::lock& l, F&& f) {
-    if constexpr (Strict)
-      return flock::strict_lock(l, std::forward<F>(f));
-    else
-      return flock::try_lock(l, std::forward<F>(f));
-  }
-
   static internal* as_int(node* n) { return static_cast<internal*>(n); }
   static batch* as_leaf(node* n) { return static_cast<batch*>(n); }
 
@@ -140,7 +132,7 @@ class leaftreap {
         (void)gp;
         if (l == nullptr) {
           internal* rp = root_;
-          if (acquire(rp->lck, [=] {
+          if (flock::acquire<Strict>(rp->lck, [=] {
                 if (rp->left.load() != nullptr) return false;
                 rp->left = static_cast<node*>(flock::allocate<batch>(k, v));
                 return true;
@@ -152,7 +144,7 @@ class leaftreap {
         if (find_in(lf, k) >= 0) return false;
         internal* par = p;
         bool went_left = child_dir(par, k);
-        if (acquire(par->lck, [=, this] {
+        if (flock::acquire<Strict>(par->lck, [=, this] {
               if (par != root_ && par->removed.load()) return false;
               flock::mutable_<node*>& slot =
                   went_left ? par->left : par->right;
@@ -180,7 +172,7 @@ class leaftreap {
         internal* par = p;
         if (lf->count > 1) {
           bool went_left = child_dir(par, k);
-          if (acquire(par->lck, [=, this] {
+          if (flock::acquire<Strict>(par->lck, [=, this] {
                 if (par != root_ && par->removed.load()) return false;
                 flock::mutable_<node*>& slot =
                     went_left ? par->left : par->right;
@@ -195,7 +187,7 @@ class leaftreap {
         // Last pair in the batch: splice like an external BST.
         if (par == root_) {
           internal* rp = root_;
-          if (acquire(rp->lck, [=] {
+          if (flock::acquire<Strict>(rp->lck, [=] {
                 if (rp->left.load() != static_cast<node*>(lf)) return false;
                 rp->left = static_cast<node*>(nullptr);
                 flock::retire<batch>(lf);
@@ -207,8 +199,8 @@ class leaftreap {
         internal* g = gp;
         bool g_left = child_dir(g, k);
         bool p_left = child_dir(par, k);
-        if (acquire(g->lck, [=, this] {
-              return acquire(par->lck, [=, this] {
+        if (flock::acquire<Strict>(g->lck, [=, this] {
+              return flock::acquire<Strict>(par->lck, [=, this] {
                 if (g != root_ && g->removed.load()) return false;
                 flock::mutable_<node*>& gslot = g_left ? g->left : g->right;
                 if (gslot.load() != static_cast<node*>(par)) return false;

@@ -44,14 +44,6 @@ class leaftree {
     leaf(K key, V val) : node(true), k(key), v(val) {}
   };
 
-  template <class F>
-  static bool acquire(flock::lock& l, F&& f) {
-    if constexpr (Strict)
-      return flock::strict_lock(l, std::forward<F>(f));
-    else
-      return flock::try_lock(l, std::forward<F>(f));
-  }
-
   static internal* as_int(node* n) { return static_cast<internal*>(n); }
   static leaf* as_leaf(node* n) { return static_cast<leaf*>(n); }
 
@@ -82,7 +74,7 @@ class leaftree {
         if (l == nullptr) {
           // Empty tree: install the first leaf under the sentinel root.
           internal* rp = root_;
-          if (acquire(rp->lck, [=] {
+          if (flock::acquire<Strict>(rp->lck, [=] {
                 if (rp->left.load() != nullptr) return false;
                 rp->left = flock::allocate<leaf>(k, v);
                 return true;
@@ -94,7 +86,7 @@ class leaftree {
         internal* par = p;
         node* lf = l;
         bool went_left = child_dir(par, k);
-        if (acquire(par->lck, [=, this] {
+        if (flock::acquire<Strict>(par->lck, [=, this] {
               if (par != root_ && par->removed.load()) return false;
               flock::mutable_<node*>& slot =
                   went_left ? par->left : par->right;
@@ -121,7 +113,7 @@ class leaftree {
           // l is the only leaf: clear the sentinel's child.
           internal* rp = root_;
           node* lf = l;
-          if (acquire(rp->lck, [=] {
+          if (flock::acquire<Strict>(rp->lck, [=] {
                 if (rp->left.load() != lf) return false;
                 rp->left = static_cast<node*>(nullptr);
                 flock::retire<leaf>(as_leaf(lf));
@@ -135,8 +127,8 @@ class leaftree {
         node* lf = l;
         bool g_left = child_dir(g, k);
         bool p_left = child_dir(par, k);
-        if (acquire(g->lck, [=, this] {
-              return acquire(par->lck, [=, this] {
+        if (flock::acquire<Strict>(g->lck, [=, this] {
+              return flock::acquire<Strict>(par->lck, [=, this] {
                 if (g != root_ && g->removed.load()) return false;
                 flock::mutable_<node*>& gslot = g_left ? g->left : g->right;
                 if (gslot.load() != static_cast<node*>(par)) return false;

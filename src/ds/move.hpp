@@ -63,18 +63,18 @@ bool try_move(lazylist<K, V, Strict>& from, lazylist<K, V, Strict>& to,
       return true;
     };
     auto lock_source_then = [=](auto inner) {
-      return list::acquire_lock(fprev->lck, [=] {
-        return list::acquire_lock(fcur->lck, [=] { return inner(); });
+      return flock::acquire<Strict>(fprev->lck, [=] {
+        return flock::acquire<Strict>(fcur->lck, [=] { return inner(); });
       });
     };
     if (reinterpret_cast<uintptr_t>(&from) <
         reinterpret_cast<uintptr_t>(&to)) {
       return lock_source_then([=] {
-        return list::acquire_lock(tprev->lck, [=] { return splice(); });
+        return flock::acquire<Strict>(tprev->lck, [=] { return splice(); });
       });
     }
-    return list::acquire_lock(tprev->lck,
-                              [=] { return lock_source_then(splice); });
+    return flock::acquire<Strict>(tprev->lck,
+                                  [=] { return lock_source_then(splice); });
   });
 }
 

@@ -10,13 +10,13 @@
 // in what ends the wait:
 //
 //   blocking   spin until the lock frees (an episode never "ends");
-//   lock-free  spin at most help_delay rounds, then fall back to helping
+//   lock-free  spin at most kHelpDelay rounds, then fall back to helping
 //              the holder. Helping is *delayed, never skipped*, so the
 //              lock-freedom argument is untouched: a waiter converts to a
 //              helper after a bounded number of its own steps.
 //
-// Tunables (min/max spins per round, help_delay) live in config.hpp:
-// 16 / 2048 / 8 by default, replaceable at run time with set_backoff().
+// The policy is fixed at compile time: kBackoffMinSpins / kBackoffMaxSpins
+// pauses per round and kHelpDelay rounds (config.hpp; 16 / 2048 / 8).
 // The per-thread xorshift state lives in thread_context,
 // so an episode costs no TLS fetches beyond the context pointer the lock
 // paths already hold.
@@ -60,22 +60,21 @@ inline uint64_t backoff_rand(thread_context* c) {
 }
 
 /// One backoff episode: construct when a held lock is first observed,
-/// call spin() per re-check. Reads the tunables once at construction so
-/// the rounds themselves touch no shared configuration state.
+/// call spin() per re-check. Touches no shared state: the policy is the
+/// config.hpp constants.
 class backoff {
  public:
-  explicit backoff(thread_context* c) noexcept
-      : c_(c), t_(backoff_cfg()), limit_(t_.min_spins) {}
+  explicit backoff(thread_context* c) noexcept : c_(c) {}
 
   /// Spin one randomized round and grow the next round's budget; once the
   /// budget is capped, yield instead so a descheduled holder can run.
   void spin() noexcept {
     uint32_t n =
-        t_.min_spins + static_cast<uint32_t>(backoff_rand(c_) % limit_);
+        kBackoffMinSpins + static_cast<uint32_t>(backoff_rand(c_) % limit_);
     for (uint32_t i = 0; i < n; i++) cpu_pause();
     stat_add(c_->stat_backoff_spins, n);
-    if (limit_ < t_.max_spins) {
-      limit_ = limit_ << 1 < t_.max_spins ? limit_ << 1 : t_.max_spins;
+    if (limit_ < kBackoffMaxSpins) {
+      limit_ = limit_ << 1 < kBackoffMaxSpins ? limit_ << 1 : kBackoffMaxSpins;
     } else {
       std::this_thread::yield();
     }
@@ -83,14 +82,12 @@ class backoff {
   }
 
   /// Lock-free waiters: true once the episode's round budget is spent and
-  /// the waiter must convert to a helper (help_delay = 0 means helping is
-  /// never throttled).
-  bool exhausted() const noexcept { return rounds_ >= t_.help_delay; }
+  /// the waiter must convert to a helper.
+  bool exhausted() const noexcept { return rounds_ >= kHelpDelay; }
 
  private:
   thread_context* c_;
-  backoff_tunables t_;
-  uint32_t limit_;
+  uint32_t limit_ = kBackoffMinSpins;
   uint32_t rounds_ = 0;
 };
 

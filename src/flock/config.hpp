@@ -1,4 +1,6 @@
-// config.hpp — build-time and run-time knobs shared by the whole library.
+// config.hpp — the library's constants and its one run-time switch, the
+// lock mode (set_blocking). The contended-path backoff policy is constants
+// too (kBackoffMinSpins, kBackoffMaxSpins, kHelpDelay below).
 //
 // Compare-and-compare-and-swap (§6 "Avoiding CASes") is not among them:
 // log commits and logged CASes always pre-check (log.hpp, mutable.hpp).
@@ -61,69 +63,21 @@ class mode_guard {
   bool prev_;
 };
 
-// --- contended-path backoff tunables (backoff.hpp / lock.hpp) --------------
+// --- contended-path backoff (backoff.hpp / lock.hpp) ------------------------
 //
-// One randomized-exponential-backoff *round* pauses between min_spins and
-// min_spins + current limit iterations; the limit doubles each round up to
-// max_spins, after which rounds yield instead of growing. A lock-free
-// waiter runs at most help_delay rounds before it falls back to helping
-// the lock holder (helping is delayed, never skipped, so lock-freedom is
-// preserved; help_delay = 0 disables throttling and helps immediately).
-struct backoff_tunables {
-  uint32_t min_spins = 16;
-  uint32_t max_spins = 2048;
-  uint32_t help_delay = 8;
-};
-
-/// Clamp to the ranges the spin loops assume (min >= 1 so a round always
-/// pauses; max >= min so the doubling terminates; help_delay bounded so a
-/// waiter's pre-help delay stays finite whatever a caller passes).
-inline backoff_tunables clamp_backoff(backoff_tunables t) noexcept {
-  if (t.min_spins < 1) t.min_spins = 1;
-  if (t.min_spins > (1u << 16)) t.min_spins = 1u << 16;
-  if (t.max_spins < t.min_spins) t.max_spins = t.min_spins;
-  if (t.max_spins > (1u << 20)) t.max_spins = 1u << 20;
-  if (t.help_delay > 256) t.help_delay = 256;
-  return t;
-}
-
-namespace detail {
-// The live tunables are three relaxed atomics (not a plain struct):
-// set_backoff() is advertised for runtime sweeping, so it may race with
-// backoff episodes snapshotting the values on the contended paths. Each
-// field is individually clamped at write time, so even a sweep landing
-// between two reads yields a usable (min >= 1) snapshot — at worst one
-// episode mixes old and new fields. Constant-initialized at the defaults.
-struct backoff_state_t {
-  std::atomic<uint32_t> min_spins{backoff_tunables{}.min_spins};
-  std::atomic<uint32_t> max_spins{backoff_tunables{}.max_spins};
-  std::atomic<uint32_t> help_delay{backoff_tunables{}.help_delay};
-};
-inline constinit backoff_state_t g_backoff;
-}  // namespace detail
-
-/// Snapshot of the process-wide tunables (the backoff_tunables defaults
-/// until set_backoff() replaces them).
-inline backoff_tunables backoff_cfg() noexcept {
-  auto& s = detail::g_backoff;
-  // mo: relaxed (all three) — tunables only shape backoff timing, never
-  // correctness; a mixed old/new snapshot is explicitly tolerated (see
-  // the racing-sweep note above backoff_state_t).
-  return {s.min_spins.load(std::memory_order_relaxed),
-          s.max_spins.load(std::memory_order_relaxed),
-          s.help_delay.load(std::memory_order_relaxed)};
-}
-
-/// Replace the live tunables (clamped). Safe to call while other threads
-/// run lock traffic; benchmarks/tests can sweep without re-execing.
-inline void set_backoff(backoff_tunables t) noexcept {
-  t = clamp_backoff(t);
-  auto& s = detail::g_backoff;
-  // mo: relaxed (all three) — each field is clamped-valid on its own, so
-  // readers need no cross-field ordering; see backoff_cfg.
-  s.min_spins.store(t.min_spins, std::memory_order_relaxed);
-  s.max_spins.store(t.max_spins, std::memory_order_relaxed);
-  s.help_delay.store(t.help_delay, std::memory_order_relaxed);  // mo: ditto
-}
+// One randomized-exponential-backoff *round* pauses between kBackoffMinSpins
+// and kBackoffMinSpins + current limit iterations; the limit doubles each
+// round up to kBackoffMaxSpins, after which rounds yield instead of growing.
+// A lock-free waiter runs at most kHelpDelay rounds before it falls back to
+// helping the lock holder (helping is delayed, never skipped, so
+// lock-freedom is preserved).
+inline constexpr uint32_t kBackoffMinSpins = 16;
+inline constexpr uint32_t kBackoffMaxSpins = 2048;
+inline constexpr uint32_t kHelpDelay = 8;
+static_assert(kBackoffMinSpins >= 1, "a round must pause");
+static_assert(kBackoffMaxSpins >= kBackoffMinSpins,
+              "the doubling must terminate");
+static_assert(kHelpDelay >= 1 && kHelpDelay <= 256,
+              "a waiter's pre-help delay must be bounded and nonzero");
 
 }  // namespace flock

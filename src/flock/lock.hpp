@@ -65,7 +65,7 @@
 // backoff (backoff.hpp), and converts to a helper only when one of two
 // things happens:
 //
-//   * the backoff budget (help_delay rounds) is exhausted while the
+//   * the backoff budget (kHelpDelay rounds) is exhausted while the
 //     word has not moved — the holder may be descheduled mid-thunk, so we
 //     help to guarantee progress; or
 //   * the holder's descriptor has done == true while the lock is still
@@ -78,7 +78,7 @@
 // preserved because helping is delayed by a *bounded* number of the
 // waiter's own steps, never skipped: the system-wide progress argument of
 // §4 only needs some thread to run the installed descriptor eventually,
-// and every waiter still does so after at most help_delay rounds.
+// and every waiter still does so after at most kHelpDelay rounds.
 //
 // Descriptor churn: top-level acquisitions (no enclosing thunk, the common
 // case — nesting happens inside thunks) run lean specializations that
@@ -327,6 +327,10 @@ inline bool help_throttled(thread_context* c, lock_word& st,
     backoff bo(c);
     while (!bo.exhausted()) {
       bo.spin();
+      // Yield point between a round and its re-check. Named outside
+      // "lock." so the lock-protocol schedule filters do not branch at
+      // every round.
+      FLOCK_SCHEDPOINT(backoff_round);
       // Local spinning re-checks with a relaxed raw read: a stale value
       // merely costs one more round, and the decision to help revalidates
       // with the seq_cst protocol inside help().
@@ -668,5 +672,15 @@ bool strict_lock(lock& l, F&& f) {
   return l.strict_lock(std::forward<F>(f));
 }
 inline void unlock(lock& l) { l.unlock(); }
+
+/// The containers' one lock policy: a Strict container waits for the lock
+/// (strict_lock), any other tries once (try_lock).
+template <bool Strict, class F>
+bool acquire(lock& l, F&& f) {
+  if constexpr (Strict)
+    return l.strict_lock(std::forward<F>(f));
+  else
+    return l.try_lock(std::forward<F>(f));
+}
 
 }  // namespace flock

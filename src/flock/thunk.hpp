@@ -37,25 +37,22 @@ class thunk {
     ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
     invoke_ = [](void* p) { return (*static_cast<Fn*>(p))(); };
     destroy_ = [](void* p) { static_cast<Fn*>(p)->~Fn(); };
-    target_ = buf_;
   }
 
-  bool operator()() const { return invoke_(target_); }
+  bool operator()() { return invoke_(buf_); }
 
   bool empty() const { return invoke_ == nullptr; }
 
   void clear() {
-    if (destroy_ != nullptr) destroy_(target_);
+    if (destroy_ != nullptr) destroy_(buf_);
     invoke_ = nullptr;
     destroy_ = nullptr;
-    target_ = nullptr;
   }
 
  private:
   alignas(std::max_align_t) unsigned char buf_[kThunkInlineBytes];
   bool (*invoke_)(void*) = nullptr;
   void (*destroy_)(void*) = nullptr;
-  void* target_ = nullptr;
 };
 
 }  // namespace flock

@@ -261,15 +261,23 @@ TEST_F(ChaosTest, KilledHolderMidNestIsHelpedToCompletion) {
 // assert the other threads run to completion regardless. Covers the three
 // distinct death positions: holding the lock with the thunk unrun
 // (install.post), thunk run but unlock pending (handoff.pre_unlock), and
-// mid-help of someone else's descriptor (help.pre_run).
+// mid-help of someone else's descriptor (help.pre_run). A thunk this short
+// rarely leaves its lock held long enough for a waiter to spend its
+// kHelpDelay backoff rounds, so for the help window the first owner also
+// stalls at install.post for far longer than those rounds take: a waiter
+// then must help, and the first helper is the one killed.
 TEST_F(ChaosTest, SystemCompletesPastKillAtEveryLockPathWindow) {
   for (point p : {point::lock_install_post, point::lock_handoff_pre_unlock,
                   point::lock_help_pre_run}) {
     SCOPED_TRACE(chaos::name(p));
     chaos::reset();
-    // Help immediately (no throttle) so the help window is exercised.
-    flock::set_backoff({16, 2048, 0});
     ASSERT_TRUE(chaos::arm(p, chaos::fault::kill));  // first crossing
+    if (p == point::lock_help_pre_run) {
+      chaos::arm_options o;
+      o.stall_spins = 1u << 22;  // vs at most ~4.2K pauses of backoff
+      ASSERT_TRUE(
+          chaos::arm(point::lock_install_post, chaos::fault::stall, o));
+    }
 
     flock::lock l;
     auto* x = flock::pool_new<flock::mutable_<uint64_t>>();
@@ -292,13 +300,13 @@ TEST_F(ChaosTest, SystemCompletesPastKillAtEveryLockPathWindow) {
       });
 
     spin_until([&] { return chaos::parked() == 1 || finished.load() == 4; });
+    EXPECT_EQ(chaos::kills_injected(), k0 + 1);
     if (chaos::parked() == 1) {
       // The claim under test: the three live workers finish their whole
       // fixed-op loops while the victim stays dead. (A wedge here hangs
       // into the ctest timeout — that IS the failure mode.)
       spin_until([&] { return finished.load() == 3; });
       EXPECT_EQ(chaos::parked(), 1u) << "victim still dead, others done";
-      EXPECT_EQ(chaos::kills_injected(), k0 + 1);
     }
     chaos::release_killed();
     for (auto& w : workers) w.join();
@@ -307,7 +315,6 @@ TEST_F(ChaosTest, SystemCompletesPastKillAtEveryLockPathWindow) {
     // accounting closes exactly: every applied increment was counted.
     EXPECT_EQ(x->read_raw(), static_cast<uint64_t>(completed.load()));
     flock::pool_delete(x);
-    flock::set_backoff({});
     flock::epoch_manager::instance().flush();
   }
 }

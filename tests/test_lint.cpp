@@ -93,6 +93,24 @@ void op(lock_t& lk, std::atomic<uint64_t>& x) {
   EXPECT_EQ(count_rule(lint_one("src/ds/fixture.hpp", src, {"R1"}), "R1"), 0);
 }
 
+TEST(LintR1, FiresInAcquireWithTemplateArguments) {
+  const std::string src = R"lint(
+template <bool Strict>
+void op(flock::lock& lk, std::atomic<int>& x) {
+  flock::acquire<Strict>(lk, [&] {
+    x.store(1, std::memory_order_release);  // line 5
+    return flock::acquire<Strict>(lk, [&] {
+      x.fetch_add(1);                       // line 7
+      return true;
+    });
+  });
+}
+)lint";
+  auto fs = lint_one("src/ds/fixture.hpp", src, {"R1"});
+  EXPECT_TRUE(has_finding_at(fs, "R1", 5));
+  EXPECT_TRUE(has_finding_at(fs, "R1", 7));
+}
+
 TEST(LintR1, DeletedMemberFunctionIsNotARawDelete) {
   const std::string src = R"lint(
 void op(lock_t& lk) {

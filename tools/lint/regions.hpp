@@ -2,10 +2,10 @@
 //
 // A CS region is the body of a lambda passed (possibly not as the first
 // argument) to one of the lock entry points: flock::try_lock,
-// flock::strict_lock, with_lock, or the data structures' local acquire /
-// acquire_lock wrappers around them. Code inside such a lambda is a thunk
-// in the paper's sense — it may be replayed by helpers, so it must obey
-// the idempotence discipline rules R1/R2 check.
+// flock::strict_lock, flock::acquire<Strict> (a template argument list may
+// sit between the name and the call), or with_lock. Code inside such a
+// lambda is a thunk in the paper's sense — it may be replayed by helpers,
+// so it must obey the idempotence discipline rules R1/R2 check.
 //
 // The classifier is lexical and intra-procedural: a helper function CALLED
 // from a CS lambda is not classified (its body is not in the region). That
@@ -33,12 +33,26 @@ struct region {
 
 inline const std::set<std::string>& default_entry_points() {
   static const std::set<std::string> s = {"try_lock", "strict_lock",
-                                          "with_lock", "acquire",
-                                          "acquire_lock"};
+                                          "with_lock", "acquire"};
   return s;
 }
 
 namespace detail {
+
+/// With t[i] == "<" opening an explicit template argument list, return the
+/// index one past its closing ">" (t.size() if unbalanced).
+inline std::size_t skip_template_args(const std::vector<token>& t,
+                                      std::size_t i) {
+  int depth = 0;
+  for (; i < t.size(); i++) {
+    if (t[i].kind != tok_kind::punct) continue;
+    if (t[i].text == "<") depth++;
+    if (t[i].text == ">") depth--;
+    if (t[i].text == ">>") depth -= 2;
+    if (depth <= 0) return i + 1;
+  }
+  return t.size();
+}
 
 /// With t[i] == "[" of a candidate lambda-introducer, find the body and
 /// append a region. Returns one past the body's closing "}" (or i+1 if the
@@ -117,6 +131,9 @@ inline std::vector<region> cs_regions(
     // contains no lambda, so capturing nothing is the right outcome
     // either way.
     std::size_t call = next_code(t, i + 1);
+    if (call < t.size() && t[call].kind == tok_kind::punct &&
+        t[call].text == "<")
+      call = next_code(t, detail::skip_template_args(t, call));
     if (call >= t.size() || t[call].kind != tok_kind::punct ||
         t[call].text != "(")
       continue;
