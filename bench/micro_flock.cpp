@@ -114,7 +114,7 @@ void BM_trylock_empty_thunk_lockfree(benchmark::State& state) {
 BENCHMARK(BM_trylock_empty_thunk_lockfree);
 
 // A 2-deep nest per iteration. In lock-free mode the inner descriptor
-// waits on the owner's deferred list and goes back to the pool with the
+// waits on the owner's deferred list and is recycled with the
 // outer one (lock.hpp), so neither reaches the epoch.
 void nested_trylock_cycle(benchmark::State& state) {
   flock::lock outer, inner;
@@ -152,7 +152,7 @@ void BM_descriptor_create_destroy(benchmark::State& state) {
   for (auto _ : state) {
     flock::descriptor* d = flock::create_descriptor([] { return true; });
     benchmark::DoNotOptimize(d);
-    flock::pool_delete(d);
+    flock::recycle(d);
   }
 }
 BENCHMARK(BM_descriptor_create_destroy);

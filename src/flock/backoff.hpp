@@ -72,7 +72,7 @@ class backoff {
     uint32_t n =
         kBackoffMinSpins + static_cast<uint32_t>(backoff_rand(c_) % limit_);
     for (uint32_t i = 0; i < n; i++) cpu_pause();
-    stat_add(c_->stat_backoff_spins, n);
+    stat_add(c_->stat.backoff_spins, n);
     if (limit_ < kBackoffMaxSpins) {
       limit_ = limit_ << 1 < kBackoffMaxSpins ? limit_ << 1 : kBackoffMaxSpins;
     } else {

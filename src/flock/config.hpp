@@ -24,9 +24,10 @@ inline constexpr int kMaxThreads = 512;
 // Entries per log block (paper §6 "Arbitrary Length Logs": default 7).
 inline constexpr int kLogBlockEntries = 7;
 
-// Inline storage for thunks captured by descriptors. A larger capture is
-// a compile error (see thunk.hpp).
-inline constexpr std::size_t kThunkInlineBytes = 104;
+// Inline storage for thunks captured by descriptors: with it a descriptor
+// is three cache lines (descriptor.hpp). A larger capture is a compile
+// error (see thunk.hpp).
+inline constexpr std::size_t kThunkInlineBytes = 64;
 
 /// Run-time switch between the two lock modes (paper §7: "this choice can
 /// be made by changing a flag at runtime").

@@ -7,11 +7,29 @@
 // enclosing top-level acquisition judges the whole chain, see lock.hpp).
 //
 // The first log block (one cache line: 7 slots and the next pointer) is
-// embedded, so acquiring a lock costs exactly one pool allocation. Inside
-// a thunk, creation is an idempotent allocation: each run builds a
+// embedded, so a descriptor is three cache lines: the log, the flags and
+// the thunk (captures up to kThunkInlineBytes = 64 bytes). Inside a
+// thunk, creation is an idempotent allocation: each run builds a
 // candidate and commits its pointer to the enclosing log. A nested
 // try_lock commits its candidate together with the lock word its install
 // CAS expects (`expected`), so one slot carries both (lock.hpp).
+//
+// Lifecycle: descriptor memory is type-stable. A descriptor is
+// constructed once, when new_descriptor_ctx carves it from the pool, and
+// is never destroyed (~descriptor is deleted). Every release — the §6
+// reuse of a never-helped descriptor, a lost install race, a losing
+// candidate, the epoch deleter of a helped one — is one recycle(c, d):
+// it frees the overflow log blocks, resets the log, `done` and `helped`
+// with atomic stores, clears the thunk, and pushes d on the releasing
+// thread's spare list, from which the next acquisition takes it.
+//
+// Invariant: a thread holding a stale pointer to a recycled descriptor
+// (a waiter or helper that read a lock word before the owner released
+// it) touches only its atomics — `done`, `helped`, `epoch` — and acts on
+// nothing it read there before it revalidates the lock word with a
+// seq_cst read (lock.hpp). The word's tag is monotonic while any stale
+// referencer exists, so a recycled descriptor never passes that check,
+// and the stale access is an atomic access to live memory, not a race.
 #pragma once
 
 #include <atomic>
@@ -22,6 +40,8 @@
 #include "epoch.hpp"
 #include "log.hpp"
 #include "stats.hpp"
+#include "thread_context.hpp"
+#include "threading.hpp"
 #include "thunk.hpp"
 
 namespace flock {
@@ -31,8 +51,8 @@ struct descriptor {
   std::atomic<bool> done{false};    // update-once; loads of it are logged
   std::atomic<bool> helped{false};  // §6 reuse optimization (see lock.hpp)
   // Creator's announced epoch. Atomic because help() reads it from a
-  // descriptor that may already be recycled and re-stamped (lock.hpp);
-  // relaxed on both sides, see new_descriptor_ctx.
+  // descriptor that may already be recycled and re-stamped (see the
+  // invariant above); relaxed on both sides, see new_descriptor_ctx.
   std::atomic<int64_t> epoch{-1};
   // Nested try_lock only: the lock word its install CAS expects. The run
   // that builds the candidate writes it before committing the candidate's
@@ -46,43 +66,23 @@ struct descriptor {
   // Helpers replaying a nested acquisition create loser candidates with
   // their own parent, but only the first-committed descriptor survives,
   // so the chain reflects the original nesting.
-  // A never-helped chain, nested parents included, is pool-reused as a
+  // A never-helped chain, nested parents included, is recycled as a
   // whole right after its top-level unlock, so parent pointers go stale
   // as soon as the top-level acquisition returns. A helped chain is
   // epoch-retired as a whole, so a walk from a helper's validated run
-  // still reads live parents; a walk that reaches recycled memory reads
-  // mapped slab storage and can only fail to match or pass spuriously.
+  // still reads live parents; a walk that reaches a recycled descriptor
+  // reads type-stable memory and can only fail to match or pass
+  // spuriously.
   descriptor* dbg_parent = nullptr;
 #endif
-  // Owner-private link of the deferred nested-retire list (lock.hpp,
-  // retire_nested). Sits in the tail padding: sizeof is unchanged.
+  // Owner-private link: of the deferred nested-retire list (lock.hpp,
+  // retire_nested) while in use, of the spare list once recycled.
   descriptor* deferred_next = nullptr;
 
-  // User-provided on purpose: a defaulted constructor would make
-  // pool_new_ctx's `new (mem) descriptor()` value-initialize, zero-filling
-  // all 256 bytes (the 104-byte thunk buffer included, which emplace
-  // overwrites anyway) before the member initializers run. Every member
-  // has its own initializer, so this leaves only the buffer untouched.
-  descriptor() {}
+  descriptor() = default;
   descriptor(const descriptor&) = delete;
   descriptor& operator=(const descriptor&) = delete;
-
-  ~descriptor() {
-    // Free any overflow log blocks. Safe: destruction happens either
-    // before the descriptor was ever published (loser of an idempotent
-    // allocation) or after epoch reclamation says nobody can reach it.
-    // The destroying thread may not be the thread that linked an overflow
-    // block, so it must see the block's initialized contents before
-    // freeing it.
-    // mo: acquire (both loads) — pairs with the acq_rel append CAS in
-    // log.hpp's log_advance.
-    log_block* b = head.next.load(std::memory_order_acquire);
-    while (b != nullptr) {
-      log_block* nxt = b->next.load(std::memory_order_acquire);  // mo: ditto
-      pool_delete(b);
-      b = nxt;
-    }
-  }
+  ~descriptor() = delete;  // type-stable: released by recycle(), never freed
 
   /// Alg. 2 `run`: install this descriptor's log as the thread's current
   /// log, run the thunk, restore the previous log (supports nesting).
@@ -104,20 +104,34 @@ struct descriptor {
 
   bool run() { return run(detail::my_ctx()); }
 };
-// Four cache lines: the pool's size class for descriptors.
-static_assert(sizeof(descriptor) == 4 * kCacheLine);
+static_assert(sizeof(descriptor) == 3 * kCacheLine,
+              "a descriptor is three cache lines: log, flags, thunk");
 
 namespace detail {
 
-/// Build a descriptor for thunk `f`, stamped with the creator's epoch:
-/// the one place a descriptor is allocated. Aborts when the pool cannot
-/// supply one (allocator.hpp's failure contract).
-template <class F>
-descriptor* new_descriptor_ctx(thread_context* c, F&& f) {
-  stat_add(c->stat_created);
+/// Carve a fresh descriptor from the pool: the only place one is
+/// constructed. Aborts when the pool cannot supply one (allocator.hpp's
+/// failure contract). Out of line: a thread carves only until its spare
+/// list covers its peak of live descriptors.
+[[gnu::noinline]] inline descriptor* carve_descriptor(thread_context* c) {
   descriptor* d = pool_new_ctx<descriptor>(c);
   if (d == nullptr) [[unlikely]]
     out_of_memory("descriptor");
+  return d;
+}
+
+/// Build a descriptor for thunk `f`, stamped with the creator's epoch:
+/// the one place a descriptor is taken, from the thread's spare list or,
+/// when that is empty, carved fresh.
+template <class F>
+descriptor* new_descriptor_ctx(thread_context* c, F&& f) {
+  stat_add(c->stat.descriptors_created);
+  descriptor* d = c->spare;
+  if (d != nullptr) [[likely]]
+    c->spare = d->deferred_next;
+  else
+    d = carve_descriptor(c);
+  ++c->descriptors_live;
   d->fn.emplace(std::forward<F>(f));
 #ifdef FLOCK_DEBUG_API
   d->dbg_parent =
@@ -136,15 +150,56 @@ descriptor* new_descriptor_ctx(thread_context* c, F&& f) {
   return d;
 }
 
+/// The one release of a descriptor (see the header): reset it in place
+/// and push it on the calling thread's spare list. The caller guarantees
+/// that no run of d's thunk can still start or be in progress: d was
+/// never published, or the §6 hand-off or the epoch says so.
+inline void recycle(thread_context* c, descriptor* d) {
+  // The recycling thread may not be the one that linked an overflow
+  // block, so it must see the block's contents before freeing it.
+  // mo: acquire (both loads) — pairs with the acq_rel append CAS in
+  // log.hpp's log_advance.
+  log_block* b = d->head.next.load(std::memory_order_acquire);
+  while (b != nullptr) {
+    log_block* nxt = b->next.load(std::memory_order_acquire);  // mo: ditto
+    pool_delete_ctx(c, b);
+    b = nxt;
+  }
+  // Runs fill slots in order, so the committed ones are a prefix.
+  for (log_entry& e : d->head.entries) {
+    // mo: relaxed — no run of d is left (see above); a past run's slot
+    // stores happen-before this through the hand-off or the epoch.
+    if (e.v.load(std::memory_order_relaxed) == kLogEmpty) break;
+    // mo: relaxed (all resets) — stale readers discard what they read
+    // (the invariant in the header), and the next owner publishes the
+    // reset state with the CAS or log commit that hands d to anyone else.
+    e.v.store(kLogEmpty, std::memory_order_relaxed);
+  }
+  d->head.next.store(nullptr, std::memory_order_relaxed);  // mo: ditto
+  d->done.store(false, std::memory_order_relaxed);         // mo: ditto
+  d->helped.store(false, std::memory_order_relaxed);       // mo: ditto
+  d->fn.clear();
+  d->deferred_next = c->spare;
+  c->spare = d;
+  --c->descriptors_live;
+}
+
+/// Epoch-deferred recycle of a descriptor a helper may still be running.
+inline void epoch_recycle_ctx(thread_context* c, descriptor* d) {
+  g_epoch.retire_ctx(c, d, [](void* p) {
+    recycle(my_ctx(), static_cast<descriptor*>(p));
+  });
+}
+
 /// Commit this run's candidate (null allowed) to the enclosing log and
 /// adopt whatever the slot holds: the first run to commit wins, losers
-/// free theirs (they were never published).
+/// recycle theirs (they were never published).
 inline descriptor* commit_descriptor_ctx(thread_context* c,
                                          descriptor* mine) {
   auto [committed, first] =
       commit_raw_ctx(c, reinterpret_cast<uint64_t>(mine));
   if (first) return mine;
-  if (mine != nullptr) pool_delete_ctx(c, mine);
+  if (mine != nullptr) recycle(c, mine);
   return reinterpret_cast<descriptor*>(committed);
 }
 
@@ -161,6 +216,20 @@ descriptor* create_descriptor_ctx(thread_context* c, F&& f) {
 template <class F>
 descriptor* create_descriptor(F&& f) {
   return detail::create_descriptor_ctx(detail::my_ctx(), std::forward<F>(f));
+}
+
+/// Release a create_descriptor'd descriptor that no thread is running.
+inline void recycle(descriptor* d) { detail::recycle(detail::my_ctx(), d); }
+
+/// Descriptors taken and not yet recycled, across all threads: the live
+/// count that leak audits compare (exact at quiescence). Recycled
+/// descriptors stay carved, so pool_outstanding<descriptor>() counts
+/// every descriptor carved so far instead.
+inline long long descriptors_live() {
+  long long n = 0;
+  const int bound = thread_id_bound();
+  for (int i = 0; i < bound; i++) n += detail::g_ctx[i].descriptors_live;
+  return n;
 }
 
 }  // namespace flock

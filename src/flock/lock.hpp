@@ -48,7 +48,12 @@
 // sees the word moved on (and never touches the descriptor). Lock-word
 // writes are all seq_cst RMWs, so a later-in-S read cannot observe an
 // earlier value; the word's tag is monotonic while any stale referencer
-// exists, so "moved on" is observable. This replaces the previous
+// exists, so "moved on" is observable. A helper that loses this race
+// holds a stale pointer to a descriptor the owner recycles at once;
+// descriptor memory is type-stable, so its later accesses to `done`,
+// `helped` and `epoch` are atomic accesses to a live (recycled)
+// descriptor, and it acts on none of them before the revalidation fails
+// (the invariant in descriptor.hpp). This replaces the previous
 // fence-based pairing: seq_cst loads cost nothing extra on x86, which
 // deletes one full barrier from every uncontended acquisition (the
 // retire-side fence) — the helper side pays the xchg, but helping is the
@@ -74,7 +79,7 @@
 //     (we skip the remaining backoff for this).
 //
 // If the word moves on while we spin, somebody made progress and no help
-// was ever needed (stat_helps_avoided counts these). Lock-freedom is
+// was ever needed (the helps_avoided stat counts these). Lock-freedom is
 // preserved because helping is delayed by a *bounded* number of the
 // waiter's own steps, never skipped: the system-wide progress argument of
 // §4 only needs some thread to run the installed descriptor eventually,
@@ -86,7 +91,7 @@
 // logged load/commit dance (which passes through at top level anyway, but
 // not for free), and re-validate the lock word after descriptor creation —
 // the long pole between the entry read and the install CAS — so an install
-// race costs a pool push instead of a doomed tag-bump CAS plus logged
+// race costs a recycle instead of a doomed tag-bump CAS plus logged
 // reloads. Nested acquisitions keep the two-slot deterministic structure
 // above, since there every branch must consume identical log slots across
 // runs; they run out of line, so a call site's inlined code is the
@@ -100,7 +105,7 @@
 // two ways only: through its own lock word, covered by its own helped flag
 // and the hand-off above; and through the logs of its ancestors, which
 // only helpers read — after setting that ancestor's helped flag. So after
-// the top-level unlock, retire_installed_toplevel pool-reuses the whole
+// the top-level unlock, retire_installed_toplevel recycles the whole
 // chain if the top-level descriptor and every deferred one read helped ==
 // false, and epoch-retires all of them otherwise. Every nested descriptor
 // was released (or never installed) before the run that owns it retires
@@ -167,9 +172,9 @@ using lock_word = mutable_<uint64_t>;
 /// and pass. The holder descriptor must be reachable from some thunk
 /// running on this thread, directly or through the dbg_parent creation
 /// chain (hand-over-hand: the thunk of lock i+1 legitimately unlocks
-/// lock i, its parent). Walks are bounded; descriptor storage is
-/// slab-backed and never unmapped, so chasing a retired parent pointer
-/// reads stale-but-mapped memory and simply fails to match.
+/// lock i, its parent). Walks are bounded; descriptor memory is
+/// type-stable (descriptor.hpp), so chasing a recycled parent pointer
+/// reads a live descriptor and simply fails to match.
 inline void dbg_check_unlock_helping(thread_context* c, uint64_t v) {
   if (!lv_locked(v))
     dbg_api_abort("unlock() of a lock that is not held (double release)");
@@ -203,22 +208,16 @@ inline void dbg_blocking_acquired(thread_context* c, const lock_word* st) {
 }
 
 /// The automatic release at the end of a blocking critical section. If
-/// this thread still holds the lock, close its bracket; if it
-/// early-released and nobody re-acquired, the trailing store just bumps
-/// the tag of an unlocked word (matching release-build behavior). If
-/// another thread re-acquired after an early release, the release build
-/// would stomp its lock — abort.
+/// this thread still holds the lock, close its bracket. If it
+/// early-released, there is nothing to close, whether or not another
+/// thread re-acquired the lock since: run_blocking leaves a word it did
+/// not install alone.
 inline void dbg_blocking_release_bracket(thread_context* c,
                                          const lock_word* st) {
   std::lock_guard<std::mutex> g(dbg_blocking_mu());
   auto& m = dbg_blocking_holders();
   auto it = m.find(st);
-  if (it == m.end()) return;  // early-released, not re-acquired
-  if (it->second != c->id)
-    dbg_api_abort(
-        "blocking critical section ended after an early unlock() and the "
-        "lock was re-acquired by another thread; the automatic release "
-        "would stomp that holder");
+  if (it == m.end() || it->second != c->id) return;  // early-released
   m.erase(it);
   c->dbg_held--;
 }
@@ -274,18 +273,19 @@ inline bool run_and_unlock(thread_context* c, lock_word& st, descriptor* d) {
 /// Consumes no enclosing log slots.
 inline void help(thread_context* c, lock_word& st, uint64_t cur_packed) {
   descriptor* d = lv_descr(val_of(cur_packed));
-  stat_add(c->stat_attempted);
+  stat_add(c->stat.helps_attempted);
   d->helped.store(true, std::memory_order_seq_cst);  // hand-off (see header)
   // Adopt the descriptor's epoch before validating: if the validation
   // passes, the creator was still announced at d->epoch when we re-read,
   // so everything the thunk can reach is protected from then on by *our*
   // lowered announcement (see epoch.hpp).
   // mo: relaxed — the acquire read of the lock word that named d orders
-  // the creator's stamp; a recycled d's value fails the revalidation.
+  // the creator's stamp; a recycled d's stamp is discarded when the
+  // revalidation below fails.
   int64_t prev =
       g_epoch.adopt_ctx(c, d->epoch.load(std::memory_order_relaxed));
   if (st.read_raw_packed_sc() == cur_packed) {
-    stat_add(c->stat_ran);
+    stat_add(c->stat.helps_run);
     // Chaos window: helper validated and adopted, about to run the thunk
     // (a dead helper here must not wedge anyone — others revalidate and
     // run the same descriptor).
@@ -306,15 +306,9 @@ inline void help(thread_context* c, lock_word& st, uint64_t cur_packed) {
 /// if we helped, false if progress elsewhere made helping unnecessary.
 inline bool help_throttled(thread_context* c, lock_word& st,
                            uint64_t cur_packed) {
-  // The done-reads below may target a descriptor the owner has already
-  // pool-reused (the §6 reuse shortcut returns never-helped descriptors
-  // to the pool without an epoch wait). That is the same benign hazard
-  // help() has always had with its helped-store: descriptor storage is
-  // slab-backed and never unmapped, a stale read at worst yields a bogus
-  // done bit, and acting on it just means helping "early" — help()
-  // revalidates the lock word with a seq_cst read before running
-  // anything, and the word's tag is monotonic while stale referencers
-  // exist, so a reused descriptor can never pass that validation.
+  // d may already be recycled (§6 reuse needs no epoch wait): a bogus
+  // done bit only means helping "early", and help() revalidates the lock
+  // word before running anything (the invariant in descriptor.hpp).
   descriptor* d = lv_descr(val_of(cur_packed));
   // Stall signal #1: the holder finished its thunk but has not released
   // (descheduled between its done-store and its unlock CAS). Only the
@@ -337,7 +331,7 @@ inline bool help_throttled(thread_context* c, lock_word& st,
       if (st.read_raw_packed_relaxed() != cur_packed) {
         // The word moved on: the holder (or another helper) made
         // progress, so our help is no longer needed.
-        stat_add(c->stat_helps_avoided);
+        stat_add(c->stat.helps_avoided);
         return false;
       }
       // mo: acquire — same pairing as the entry done-read above.
@@ -363,19 +357,20 @@ inline void retire_nested(thread_context* c, descriptor* d) {
     d->deferred_next = c->deferred;
     c->deferred = d;
   } else {
-    epoch_retire_ctx(c, d);
+    epoch_recycle_ctx(c, d);
   }
 }
 
 // --- lock-free (helping) mode ---------------------------------------------
 
-/// Pool-reuse a never-helped descriptor, epoch-retire a helped one.
+/// Recycle a never-helped descriptor now (§6 reuse), a helped one after
+/// the epoch.
 inline void retire_judged(thread_context* c, descriptor* d, bool helped) {
   if (!helped) {
-    stat_add(c->stat_reused);
-    pool_delete_ctx(c, d);
+    stat_add(c->stat.descriptors_reused);
+    recycle(c, d);
   } else {
-    epoch_retire_ctx(c, d);
+    epoch_recycle_ctx(c, d);
   }
 }
 
@@ -422,7 +417,7 @@ inline bool run_owned_toplevel(thread_context* c, lock_word& st,
 
 /// Top-level try_lock: no enclosing log, so nothing here must stay
 /// deterministic across runs — branch on raw reads and on the install
-/// CAS's own result, and keep a lost race to one pool push (see header).
+/// CAS's own result, and keep a lost race to one recycle (see header).
 template <class F>
 bool try_lock_helping_toplevel(thread_context* c, lock_word& st, F&& f) {
   uint64_t cur = st.read_raw_packed();
@@ -438,13 +433,13 @@ bool try_lock_helping_toplevel(thread_context* c, lock_word& st, F&& f) {
   // intervening lock/unlock pair does not fail our install.
   cur = st.read_raw_packed();
   if (lv_locked(val_of(cur))) {
-    pool_delete_ctx(c, d);  // never published
+    recycle(c, d);  // never published
     help_throttled(c, st, cur);
     return false;
   }
   // No pre-check: we just read the word.
   if (!st.cas_raw_packed_ctx(c, cur, minev, /*precheck=*/false)) {
-    pool_delete_ctx(c, d);  // never published
+    recycle(c, d);  // never published
     uint64_t fresh = st.read_raw_packed();
     if (lv_locked(val_of(fresh))) help_throttled(c, st, fresh);
     return false;
@@ -549,7 +544,7 @@ bool strict_lock_helping(thread_context* c, lock_word& st, F&& f) {
     return strict_lock_helping_nested(c, st, std::forward<F>(f));
   // §4: "by first creating the descriptor, and then putting the attempt to
   // acquire a lock into a while loop". The descriptor is created once,
-  // outside the loop, so retries consume no fresh pool traffic. Top level:
+  // outside the loop, so retries take no fresh descriptor. Top level:
   // raw reads and the install CAS's own result (nothing to keep
   // deterministic), with throttled helping while the lock is held.
   descriptor* d = new_descriptor_ctx(c, std::forward<F>(f));
@@ -573,17 +568,30 @@ bool strict_lock_helping(thread_context* c, lock_word& st, F&& f) {
 // caller just read the word, so a second read before the CAS is pure
 // overhead here.
 
+/// Run a blocking critical section on a lock this thread just took by
+/// installing `held`, then release it: clear the lock word only if it
+/// still holds `held`. The section may have released the lock early
+/// (hand-over-hand) and another thread re-acquired it since; an
+/// unconditional store would release that holder's lock. The holder is
+/// the only writer of a held word, so a load and a compare suffice, with
+/// no CAS.
+template <class F>
+bool run_blocking([[maybe_unused]] thread_context* c, lock_word& st,
+                  uint64_t held, F&& f) {
+  FLOCK_DBG_API(dbg_blocking_acquired(c, &st));
+  bool result = f();
+  FLOCK_DBG_API(dbg_blocking_release_bracket(c, &st));
+  if (st.read_raw_packed() == held) st.store_raw(0);
+  return result;
+}
+
 template <class F>
 bool try_lock_blocking(thread_context* c, lock_word& st, F&& f) {
   uint64_t p = st.read_raw_packed();
   if (lv_locked(val_of(p))) return false;
-  if (!st.cas_raw_packed_ctx(c, p, kLockedBit, /*precheck=*/false))
-    return false;
-  FLOCK_DBG_API(dbg_blocking_acquired(c, &st));
-  bool result = f();
-  FLOCK_DBG_API(dbg_blocking_release_bracket(c, &st));
-  st.store_raw(0);
-  return result;
+  uint64_t held = st.next_packed(p, kLockedBit);
+  if (!st.cas_packed_ctx(c, p, held, /*precheck=*/false)) return false;
+  return run_blocking(c, st, held, std::forward<F>(f));
 }
 
 template <class F>
@@ -592,16 +600,13 @@ bool strict_lock_blocking(thread_context* c, lock_word& st, F&& f) {
   while (true) {
     uint64_t p = st.read_raw_packed();
     if (!lv_locked(val_of(p))) {
-      if (st.cas_raw_packed_ctx(c, p, kLockedBit, /*precheck=*/false)) break;
+      uint64_t held = st.next_packed(p, kLockedBit);
+      if (st.cas_packed_ctx(c, p, held, /*precheck=*/false))
+        return run_blocking(c, st, held, std::forward<F>(f));
     } else {
       bo.spin();
     }
   }
-  FLOCK_DBG_API(dbg_blocking_acquired(c, &st));
-  bool result = f();
-  FLOCK_DBG_API(dbg_blocking_release_bracket(c, &st));
-  st.store_raw(0);
-  return result;
 }
 
 }  // namespace detail

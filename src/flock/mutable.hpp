@@ -120,6 +120,12 @@ class mutable_ {
     return word_.load(std::memory_order_seq_cst);
   }
 
+  /// The packed word a tag-bumping write of `v` over `cur_packed` puts
+  /// here: `v` under the next tag.
+  uint64_t next_packed(uint64_t cur_packed, T v) const {
+    return pack_tagged(detail::next_tag(this, cur_packed), to_bits48(v));
+  }
+
   /// Tag-bumping raw CAS; announced so tag-wrap scans can see the expected
   /// word. Returns true if this call installed the new value. `precheck`
   /// re-reads the word first and skips a CAS that would fail (§6); pass
@@ -127,8 +133,14 @@ class mutable_ {
   /// would repeat that read.
   bool cas_raw_packed_ctx(detail::thread_context* c, uint64_t expected_packed,
                           T desired, bool precheck) {
-    uint64_t desired_packed = pack_tagged(
-        detail::next_tag(this, expected_packed), to_bits48(desired));
+    return cas_packed_ctx(c, expected_packed,
+                          next_packed(expected_packed, desired), precheck);
+  }
+
+  /// cas_raw_packed_ctx to an exact packed word from next_packed, for a
+  /// caller that needs to know the word it installed (blocking locks).
+  bool cas_packed_ctx(detail::thread_context* c, uint64_t expected_packed,
+                      uint64_t desired_packed, bool precheck) {
     if (precheck) {
       // mo: acquire — the pre-check substitutes for the CAS's failure
       // path, so it needs the CAS failure ordering (acquire) too.

@@ -29,14 +29,11 @@ inline std::atomic<uint64_t> g_resize_deferrals{0};
 // of them (bench/contended_locks.cpp's per-point deltas) expand this
 // list, so a counter added here is dumped with no second list to keep
 // in step.
-// X(name) per counter, in dump order.
+// X(name) per counter, in dump order: the per-thread counters
+// (FLOCK_THREAD_STATS, thread_context.hpp) first, then the process-wide
+// ones.
 #define FLOCK_STATS_COUNTERS(X)                                              \
-  X(descriptors_created) /* lock acquisitions (lock-free mode) */           \
-  X(helps_attempted)     /* help() entries */                               \
-  X(helps_run)           /* help() revalidations that ran a thunk */        \
-  X(descriptors_reused)  /* fast-path pool reuse (never helped) */          \
-  X(helps_avoided)       /* throttled waits resolved without a help */      \
-  X(backoff_spins)       /* cpu_pause iterations spent backing off */       \
+  FLOCK_THREAD_STATS(X)                                                      \
   /* Fault-tolerance counters (chaos instrumentation + allocation      */   \
   /* failure contract; all zero without FLOCK_CHAOS and without OOM).  */   \
   X(alloc_failures)      /* null pool/array returns (allocator.hpp) */      \
@@ -61,12 +58,9 @@ inline stats_snapshot stats() {
   const int bound = thread_id_bound();
   for (int i = 0; i < bound; i++) {
     const detail::thread_context& c = detail::g_ctx[i];
-    s.descriptors_created += detail::stat_read(c.stat_created);
-    s.helps_attempted += detail::stat_read(c.stat_attempted);
-    s.helps_run += detail::stat_read(c.stat_ran);
-    s.descriptors_reused += detail::stat_read(c.stat_reused);
-    s.helps_avoided += detail::stat_read(c.stat_helps_avoided);
-    s.backoff_spins += detail::stat_read(c.stat_backoff_spins);
+#define FLOCK_STATS_SUM(name) s.name += detail::stat_read(c.stat.name);
+    FLOCK_THREAD_STATS(FLOCK_STATS_SUM)
+#undef FLOCK_STATS_SUM
   }
   s.alloc_failures = alloc_failures();
   // mo: relaxed — monotonic monitoring counter, same approximate-snapshot

@@ -14,9 +14,10 @@
 // (dense id acquisition, slot reset) hides behind an [[unlikely]] null
 // check. Ids recycle on thread exit exactly as before: the context slot
 // is indexed by id, and a new thread that inherits an id also inherits
-// the slot's monotonic counters (stats aggregation is cumulative) and any
-// retire backlog left by the previous owner (drained by normal sealing or
-// by flush(), as the old per-id retire lists were).
+// the slot's monotonic counters (stats aggregation is cumulative), its
+// spare descriptors, and any retire backlog left by the previous owner
+// (drained by normal sealing or by flush(), as the old per-id retire lists
+// were).
 #pragma once
 
 #include <atomic>
@@ -60,18 +61,29 @@ struct retire_batch {
   retired_item items[kCapacity];
 };
 
+// The per-thread stat counters, declared once: thread_context's cells and
+// stats()'s sums (stats.hpp) expand this list, and it opens
+// FLOCK_STATS_COUNTERS there. X(name) per counter, in dump order.
+#define FLOCK_THREAD_STATS(X)                                               \
+  X(descriptors_created) /* lock acquisitions (lock-free mode) */          \
+  X(helps_attempted)     /* help() entries */                              \
+  X(helps_run)           /* help() revalidations that ran a thunk */       \
+  X(descriptors_reused)  /* §6 reuse of never-helped descriptors */        \
+  X(helps_avoided)       /* throttled waits resolved without a help */     \
+  X(backoff_spins)       /* cpu_pause iterations spent backing off */
+
 struct alignas(2 * kCacheLine) thread_context {
   // --- owner-private hot state (never written by other threads) ----------
   log_cursor log;            // cursor into the current thunk's log
   int id = -1;               // dense id in [0, kMaxThreads)
   uint64_t commit_count = 0;  // log-slot commits (instrumentation)
-  // Stat cells, written only by the owner (stat_add), read by stats():
-  std::atomic<uint64_t> stat_created{0};    // descriptors created
-  std::atomic<uint64_t> stat_attempted{0};  // help() entries
-  std::atomic<uint64_t> stat_ran{0};        // help() runs that ran a thunk
-  std::atomic<uint64_t> stat_reused{0};     // fast-path descriptor reuse
-  std::atomic<uint64_t> stat_helps_avoided{0};  // waits ended unhelped
-  std::atomic<uint64_t> stat_backoff_spins{0};  // cpu_pause iterations
+  // Stat cells, one per FLOCK_THREAD_STATS entry, written only by the
+  // owner (stat_add), read by stats():
+  struct stat_cells {
+#define FLOCK_STAT_CELL(name) std::atomic<uint64_t> name{0};
+    FLOCK_THREAD_STATS(FLOCK_STAT_CELL)
+#undef FLOCK_STAT_CELL
+  } stat;
   uint64_t backoff_rng = 0;    // xorshift state (lazily seeded from id)
   // Deferred nested retires (lock.hpp, retire_nested): set while this
   // thread runs its own top-level descriptor; the list links nested
@@ -79,6 +91,12 @@ struct alignas(2 * kCacheLine) thread_context {
   // acquisition decides reuse or epoch retire for the whole chain.
   bool owner_run = false;
   descriptor* deferred = nullptr;
+  // Recycled descriptors (descriptor.hpp, recycle), linked through
+  // descriptor::deferred_next; new_descriptor_ctx takes from here before
+  // it carves a fresh one. Carries over on id reuse, like the retire
+  // backlog.
+  descriptor* spare = nullptr;
+  long long descriptors_live = 0;  // taken minus recycled by this thread
 
   // --- own cache line: state scanned by other threads --------------------
   alignas(kCacheLine) std::atomic<int64_t> announced{-1};  // epoch slot
@@ -204,9 +222,9 @@ inline thread_local thread_context* tl_ctx = nullptr;
       c = &g_ctx[id];
       // Reset transient state a previous holder of this id may have left;
       // monotonic counters and the retire backlog carry over (see header
-      // comment). A holder that never finished its top-level acquisition
-      // strands its deferred list (see lock.hpp); the new owner starts with
-      // an empty one.
+      // comment), and so does the spare-descriptor list. A holder that never
+      // finished its top-level acquisition strands its deferred list (see
+      // lock.hpp); the new owner starts with an empty one.
       c->id = id;
       c->log = {};
       c->epoch_depth = 0;

@@ -88,6 +88,40 @@ TEST_F(ApiGuardTest, HandOverHandChainLockFree) {
   flock::pool_delete(x);
 }
 
+TEST_F(ApiGuardTest, HandOverHandChainBlocking) {
+  // Lock b's section releases a, and another thread takes a before a's
+  // section ends. That end leaves the new holder's lock alone, the
+  // guards' bracket stays silent, and both threads' thread-exit leak
+  // checks pass at join.
+  flock::set_blocking(true);
+  flock::lock a, b;
+  std::atomic<bool> released{false}, inside{false}, leave{false};
+  std::thread first([&] {
+    flock::strict_lock(a, [&] {
+      return flock::try_lock(b, [&] {
+        a.unlock();
+        released.store(true);
+        while (!inside.load()) std::this_thread::yield();
+        return true;
+      });
+    });
+  });
+  std::thread second([&] {
+    while (!released.load()) std::this_thread::yield();
+    flock::strict_lock(a, [&] {
+      inside.store(true);
+      while (!leave.load()) std::this_thread::yield();
+      return true;
+    });
+  });
+  first.join();
+  EXPECT_TRUE(a.is_locked());
+  EXPECT_FALSE(b.is_locked());
+  leave.store(true);
+  second.join();
+  EXPECT_FALSE(a.is_locked());
+}
+
 // Contended traffic: helpers replay thunks (including the early-unlock
 // one) under the guards; every worker's thread-exit leak check runs at
 // join and aborts the test on any unbalanced critical section.

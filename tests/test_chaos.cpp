@@ -182,7 +182,7 @@ void killed_holder_scenario(bool nested) {
   x->init(0);
   auto& em = flock::epoch_manager::instance();
   em.flush();
-  const long long pool0 = flock::pool_outstanding<flock::descriptor>();
+  const long long live0 = flock::descriptors_live();
 
   // Kill the victim at its (nested ? second : first) descriptor install:
   // nested => the victim dies holding BOTH locks mid-nest.
@@ -234,7 +234,7 @@ void killed_holder_scenario(bool nested) {
   // its deferred list (empty: it died before any nested retire) and, mid
   // nest, the descriptor of its in-progress nested acquisition.
   em.flush();
-  EXPECT_LE(flock::pool_outstanding<flock::descriptor>() - pool0 -
+  EXPECT_LE(flock::descriptors_live() - live0 -
                 em.pending(),
             nested ? 2 : 1);
 
@@ -246,7 +246,7 @@ void killed_holder_scenario(bool nested) {
   flock::pool_delete(x);
   chaos::reset();
   em.flush();
-  EXPECT_EQ(flock::pool_outstanding<flock::descriptor>(), pool0);
+  EXPECT_EQ(flock::descriptors_live(), live0);
   EXPECT_EQ(em.pending(), 0);
 }
 

@@ -142,7 +142,7 @@ TEST_F(FailureInjection, KilledHolderInNestedLocksIsHelpedThrough) {
   x->init(0);
   auto& em = flock::epoch_manager::instance();
   em.flush();
-  const long long pool0 = flock::pool_outstanding<flock::descriptor>();
+  const long long live0 = flock::descriptors_live();
 
   chaos::arm_options o;
   o.victim_only = true;
@@ -199,7 +199,7 @@ TEST_F(FailureInjection, KilledHolderInNestedLocksIsHelpedThrough) {
   // its deferred list (empty: it died inside the inner section) and the
   // in-progress inner descriptor; everything else is in the epoch.
   em.flush();
-  EXPECT_LE(flock::pool_outstanding<flock::descriptor>() - pool0 -
+  EXPECT_LE(flock::descriptors_live() - live0 -
                 em.pending(),
             2);
 
@@ -208,7 +208,7 @@ TEST_F(FailureInjection, KilledHolderInNestedLocksIsHelpedThrough) {
   EXPECT_EQ(x->read_raw(), static_cast<uint64_t>(inner_wins.load()) + 1);
   flock::pool_delete(x);
   em.flush();
-  EXPECT_EQ(flock::pool_outstanding<flock::descriptor>(), pool0);
+  EXPECT_EQ(flock::descriptors_live(), live0);
   EXPECT_EQ(em.pending(), 0);
 }
 
@@ -224,7 +224,7 @@ TEST_F(FailureInjection, KilledOwnerAfterNestedReleaseStrandsItsDeferredList) {
   x->init(0);
   auto& em = flock::epoch_manager::instance();
   em.flush();
-  const long long pool0 = flock::pool_outstanding<flock::descriptor>();
+  const long long live0 = flock::descriptors_live();
 
   chaos::arm_options o;
   o.victim_only = true;
@@ -257,7 +257,7 @@ TEST_F(FailureInjection, KilledOwnerAfterNestedReleaseStrandsItsDeferredList) {
   EXPECT_EQ(x->read_raw(), 1u);
 
   em.flush();
-  EXPECT_EQ(flock::pool_outstanding<flock::descriptor>() - pool0 -
+  EXPECT_EQ(flock::descriptors_live() - live0 -
                 em.pending(),
             2);  // top-level + one deferred
 
@@ -269,7 +269,7 @@ TEST_F(FailureInjection, KilledOwnerAfterNestedReleaseStrandsItsDeferredList) {
   EXPECT_EQ(flock::stats().descriptors_reused, reused0);
   flock::pool_delete(x);
   em.flush();
-  EXPECT_EQ(flock::pool_outstanding<flock::descriptor>(), pool0);
+  EXPECT_EQ(flock::descriptors_live(), live0);
   EXPECT_EQ(em.pending(), 0);
 }
 

@@ -85,7 +85,7 @@ TEST(HotPath, EpochBatchDrainingBalancesPools) {
   };
   flock::epoch_manager::instance().flush();
   long long node_base = flock::pool_outstanding<node>();
-  long long desc_base = flock::pool_outstanding<flock::descriptor>();
+  long long desc_base = flock::descriptors_live();
 
   constexpr int kThreads = 4;
   constexpr int kOps = 5000;  // ~78 batches per thread at capacity 64
@@ -126,7 +126,7 @@ TEST(HotPath, EpochBatchDrainingBalancesPools) {
 
   for (int i = 0; i < 3; i++) flock::epoch_manager::instance().flush();
   EXPECT_EQ(flock::pool_outstanding<node>(), node_base);
-  EXPECT_EQ(flock::pool_outstanding<flock::descriptor>(), desc_base);
+  EXPECT_EQ(flock::descriptors_live(), desc_base);
   EXPECT_EQ(flock::epoch_manager::instance().pending(), 0);
 }
 

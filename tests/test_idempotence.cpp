@@ -22,7 +22,7 @@ descriptor* make_descr(F&& f) {
   return flock::create_descriptor(std::forward<F>(f));
 }
 
-void destroy_descr(descriptor* d) { flock::pool_delete(d); }
+void destroy_descr(descriptor* d) { flock::recycle(d); }
 
 // Run the descriptor concurrently from kThreads threads, return results.
 template <class Check>

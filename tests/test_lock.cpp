@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "flock/flock.hpp"
@@ -194,6 +195,41 @@ INSTANTIATE_TEST_SUITE_P(BothModes, LockModes, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& i) {
                            return i.param ? "blocking" : "lockfree";
                          });
+
+// ---------- blocking specific ----------
+
+// A blocking section that released its lock early (hand-over-hand) must
+// not release it again when it ends: another thread may hold it by then.
+// Blocking mode runs each thunk once, so the atomics handshake is safe.
+TEST(LockBlocking, SectionEndLeavesAReacquiredLockHeld) {
+  flock::mode_guard mode(/*blocking=*/true);
+  flock::lock l0, l1;
+  std::atomic<bool> released{false}, inside{false}, leave{false};
+  std::thread a([&] {
+    flock::strict_lock(l0, [&] {
+      return flock::try_lock(l1, [&] {
+        flock::unlock(l0);
+        released.store(true);
+        while (!inside.load()) std::this_thread::yield();
+        return true;
+      });
+    });
+  });
+  std::thread b([&] {
+    while (!released.load()) std::this_thread::yield();
+    flock::strict_lock(l0, [&] {
+      inside.store(true);
+      while (!leave.load()) std::this_thread::yield();
+      return true;
+    });
+  });
+  a.join();
+  EXPECT_TRUE(l0.is_locked());  // b is still inside its section
+  EXPECT_FALSE(l1.is_locked());
+  leave.store(true);
+  b.join();
+  EXPECT_FALSE(l0.is_locked());
+}
 
 // ---------- lock-free specific: helping ----------
 
@@ -399,7 +435,7 @@ TEST(LockHelping, TryLockFailsFastWhenHeld) {
 TEST(LockFree, DescriptorPoolBalanced) {
   flock::set_blocking(false);
   flock::epoch_manager::instance().flush();
-  long long before = flock::pool_outstanding<flock::descriptor>();
+  long long before = flock::descriptors_live();
   flock::lock l;
   for (int i = 0; i < 10000; i++) {
     flock::with_epoch([&] {
@@ -407,7 +443,60 @@ TEST(LockFree, DescriptorPoolBalanced) {
     });
   }
   flock::epoch_manager::instance().flush();
-  EXPECT_EQ(flock::pool_outstanding<flock::descriptor>(), before);
+  EXPECT_EQ(flock::descriptors_live(), before);
+}
+
+// Descriptor memory is type-stable: a descriptor is only ever recycled.
+static_assert(!std::is_destructible_v<flock::descriptor>);
+
+// A recycled descriptor starts clean: the overflow log block it grew is
+// freed, and the thread's next acquisition takes the same descriptor with
+// an empty log, so its first commit wins.
+TEST(LockFree, RecycledDescriptorStartsClean) {
+  flock::set_blocking(false);
+  flock::lock l;
+  const long long blocks0 = flock::pool_outstanding<flock::log_block>();
+  const flock::log_block* first = nullptr;
+  bool spilled = false;
+  flock::with_epoch([&] {
+    return flock::try_lock(l, [&first, &spilled] {
+      first = flock::tls_log().block;  // the descriptor's embedded block
+      for (int i = 0; i <= flock::kLogBlockEntries; i++)
+        flock::commit_value(100 + i);
+      spilled = flock::tls_log().block != first;
+      return true;
+    });
+  });
+  EXPECT_TRUE(spilled);
+  EXPECT_EQ(flock::pool_outstanding<flock::log_block>(), blocks0);
+
+  const flock::log_block* second = nullptr;
+  uint64_t committed = 0;
+  flock::with_epoch([&] {
+    return flock::try_lock(l, [&second, &committed] {
+      second = flock::tls_log().block;
+      committed = flock::commit_value(7);
+      return true;
+    });
+  });
+  EXPECT_EQ(second, first);
+  EXPECT_EQ(committed, 7u);
+}
+
+// Uncontended acquisitions recycle one descriptor: the pool carves at
+// most one, and the live count returns to where it was.
+TEST(LockFree, UncontendedAcquisitionsCarveAtMostOneDescriptor) {
+  flock::set_blocking(false);
+  const long long carved0 = flock::pool_outstanding<flock::descriptor>();
+  const long long live0 = flock::descriptors_live();
+  flock::lock l;
+  for (int i = 0; i < 10000; i++) {
+    flock::with_epoch([&] {
+      return flock::try_lock(l, [] { return true; });
+    });
+  }
+  EXPECT_LE(flock::pool_outstanding<flock::descriptor>() - carved0, 1);
+  EXPECT_EQ(flock::descriptors_live(), live0);
 }
 
 // The log slots a nested acquisition costs its enclosing thunk: a

@@ -116,7 +116,7 @@ TEST(Log, OverflowBlockOnlyForTheSlotPastTheInlineBlock) {
   EXPECT_TRUE(full->run());
   EXPECT_EQ(full->head.next.load(), nullptr);
   EXPECT_EQ(flock::pool_outstanding<flock::log_block>(), blocks0);
-  flock::pool_delete(full);
+  flock::recycle(full);
 
   flock::descriptor* over = flock::create_descriptor(committing(kInline + 1));
   EXPECT_TRUE(over->run());
@@ -127,7 +127,7 @@ TEST(Log, OverflowBlockOnlyForTheSlotPastTheInlineBlock) {
   EXPECT_EQ(over->head.next.load(), blk);
   EXPECT_EQ(flock::pool_outstanding<flock::log_block>(), blocks0 + 1);
   for (int i = 0; i <= kInline; i++) EXPECT_EQ(seen[1][i], seen[0][i]) << i;
-  flock::pool_delete(over);  // frees the overflow block too
+  flock::recycle(over);  // frees the overflow block too
   EXPECT_EQ(flock::pool_outstanding<flock::log_block>(), blocks0);
 }
 

@@ -45,7 +45,7 @@ TEST_P(ThunkShape, CounterChainAppliesOnce) {
     for (auto& t : ts) t.join();
     ASSERT_EQ(sum->read_raw(), static_cast<uint64_t>(steps))
         << "steps=" << steps << " threads=" << threads << " round=" << round;
-    flock::pool_delete(d);
+    flock::recycle(d);
     flock::pool_delete(sum);
   }
 }

@@ -174,9 +174,9 @@ TEST_F(ScheduleTest, TrylockHandoffExhaustiveWithKills) {
 // The owner runs A{B{x++}}; the prober try_locks B with its own x++ and,
 // whenever it finds B held, helps the owner's B descriptor through B's
 // lock word. The owner defers that descriptor to A's reuse decision, so
-// on every schedule the pair must either both be pool-reused (never
+// on every schedule the pair must either both be recycled at once (never
 // helped) or both be epoch-retired. Exact state on every schedule, plus
-// leak accounting: after a flush the descriptor pool is back at its
+// leak accounting: after a flush the live descriptor count is back at its
 // pre-scenario baseline and nothing is left queued for the epoch.
 struct nested_state {
   struct inner {
@@ -185,7 +185,7 @@ struct nested_state {
     bool r[2] = {false, false};
   };
   std::unique_ptr<inner> s;
-  long long pool0 = 0;
+  long long live0 = 0;
   uint64_t helps_run0 = 0;
 };
 
@@ -197,7 +197,7 @@ sched::scenario make_nested_scenario(std::shared_ptr<nested_state> st) {
     st->s = std::make_unique<nested_state::inner>();
     st->s->x.init(0);
     flock::epoch_manager::instance().flush();
-    st->pool0 = flock::pool_outstanding<flock::descriptor>();
+    st->live0 = flock::descriptors_live();
     st->helps_run0 = flock::stats().helps_run;
   };
   sc.threads.push_back([st] {  // owner: A{B{x++}}
@@ -232,7 +232,7 @@ sched::scenario make_nested_scenario(std::shared_ptr<nested_state> st) {
     // takes A, so the owner fails only if the prober held B.
     EXPECT_EQ(in->x.read_raw(), wins) << rep.schedule_string();
     EXPECT_GE(wins, 1u) << rep.schedule_string();
-    // A descriptor whose thunk a helper ran is never pool-reused: each
+    // A descriptor whose thunk a helper ran is never recycled at once: each
     // thread runs at most one help, and each sends at least the helped
     // descriptor through the epoch (the owner's B: the whole A/B chain).
     auto& em = flock::epoch_manager::instance();
@@ -240,7 +240,7 @@ sched::scenario make_nested_scenario(std::shared_ptr<nested_state> st) {
     EXPECT_GE(em.pending(), static_cast<long long>(helps_run))
         << rep.schedule_string();
     em.flush();
-    EXPECT_EQ(flock::pool_outstanding<flock::descriptor>(), st->pool0)
+    EXPECT_EQ(flock::descriptors_live(), st->live0)
         << rep.schedule_string();
     EXPECT_EQ(em.pending(), 0) << rep.schedule_string();
   };

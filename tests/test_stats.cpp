@@ -41,7 +41,7 @@ TEST(Stats, ContendedLocksRecordHelping) {
 
 // §6 reuse at every nesting depth: with nobody helping, each nested
 // descriptor joins its top-level acquisition's reuse decision, so the
-// whole nest goes back to the pool and nothing reaches the epoch.
+// whole nest is recycled at once and nothing reaches the epoch.
 TEST(Stats, UncontendedNestedLocksReuseEveryDescriptor) {
   flock::set_blocking(false);
   auto& em = flock::epoch_manager::instance();
@@ -51,7 +51,7 @@ TEST(Stats, UncontendedNestedLocksReuseEveryDescriptor) {
   x->init(0);
   for (int depth : {2, 3}) {
     SCOPED_TRACE(depth);
-    const long long pool0 = flock::pool_outstanding<flock::descriptor>();
+    const long long live0 = flock::descriptors_live();
     const long long pending0 = em.pending();
     auto before = flock::stats();
     // No stall (stall_at = -1): nothing is ever observably held.
@@ -65,7 +65,7 @@ TEST(Stats, UncontendedNestedLocksReuseEveryDescriptor) {
     EXPECT_EQ(after.descriptors_created - before.descriptors_created, n);
     EXPECT_EQ(after.descriptors_reused - before.descriptors_reused, n);
     // Back at baseline without a flush, and nothing queued for the epoch.
-    EXPECT_EQ(flock::pool_outstanding<flock::descriptor>(), pool0);
+    EXPECT_EQ(flock::descriptors_live(), live0);
     EXPECT_EQ(em.pending(), pending0);
   }
   EXPECT_EQ(x->read_raw(), 2000u);  // 1000 nests at each depth
@@ -73,7 +73,7 @@ TEST(Stats, UncontendedNestedLocksReuseEveryDescriptor) {
 }
 
 // One helped descriptor anywhere in a nest sends the owner's whole chain
-// through the epoch: no descriptor of it is pool-reused — not even one
+// through the epoch: no descriptor of it is recycled at once — not even one
 // that was never helped itself but is reachable from a helped
 // ancestor's log — and a flush returns every one of them.
 void expect_helped_chain_epoch_retired(int depth, int stall_at, int probe_at,
@@ -86,7 +86,7 @@ void expect_helped_chain_epoch_retired(int depth, int stall_at, int probe_at,
   flock::set_blocking(false);
   auto& em = flock::epoch_manager::instance();
   em.flush();
-  const long long pool0 = flock::pool_outstanding<flock::descriptor>();
+  const long long live0 = flock::descriptors_live();
   const long long pending0 = em.pending();
   auto before = flock::stats();
   uint64_t applied =
@@ -100,7 +100,7 @@ void expect_helped_chain_epoch_retired(int depth, int stall_at, int probe_at,
             probe_nested ? 1u : 0u);
   EXPECT_EQ(em.pending() - pending0, depth);
   em.flush();
-  EXPECT_EQ(flock::pool_outstanding<flock::descriptor>(), pool0);
+  EXPECT_EQ(flock::descriptors_live(), live0);
   EXPECT_EQ(em.pending(), 0);
 }
 
