@@ -31,7 +31,10 @@
 // below always compile (they are cheap inert atomics), so stats
 // aggregation and reporters link the same either way. Test targets
 // define FLOCK_CHAOS (see CMakeLists.txt); with no plan armed a
-// compiled-in point costs one relaxed atomic load.
+// compiled-in point costs one relaxed atomic load. FLOCK_CHAOS compiles
+// in exactly two things: these points and the lock-API misuse guards
+// (flock/lock.hpp), which add per-thread tracking to thread_context and
+// a parent pointer to each descriptor.
 //
 // Determinism: hit arrivals are only counted while a point has a plan
 // armed, and each plan entry counts the arrivals that match its own

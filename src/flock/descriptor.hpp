@@ -60,20 +60,19 @@ struct descriptor {
   // commit's release/acquire orders it).
   uint64_t expected = 0;
   thunk fn;
-#ifdef FLOCK_DEBUG_API
-  // The descriptor whose thunk was running when this one was created —
-  // the lock-holding chain for the non-holder unlock check (lock.hpp).
-  // Helpers replaying a nested acquisition create loser candidates with
-  // their own parent, but only the first-committed descriptor survives,
-  // so the chain reflects the original nesting.
-  // A never-helped chain, nested parents included, is recycled as a
-  // whole right after its top-level unlock, so parent pointers go stale
-  // as soon as the top-level acquisition returns. A helped chain is
-  // epoch-retired as a whole, so a walk from a helper's validated run
-  // still reads live parents; a walk that reaches a recycled descriptor
-  // reads type-stable memory and can only fail to match or pass
-  // spuriously.
-  descriptor* dbg_parent = nullptr;
+#ifdef FLOCK_CHAOS
+  // Lock-API misuse guards (lock.hpp): the descriptor whose thunk was
+  // running when this one was created — the lock-holding chain for the
+  // non-holder unlock check. Helpers replaying a nested acquisition
+  // create loser candidates with their own parent, but only the
+  // first-committed descriptor survives, so the chain reflects the
+  // original nesting. A never-helped chain, nested parents included, is
+  // recycled as a whole right after its top-level unlock, so parent
+  // pointers go stale as soon as the top-level acquisition returns, and
+  // a recycled parent is re-stamped by its next owner: atomic, so a
+  // helper's walk that reaches it reads type-stable memory and can only
+  // fail to match or pass spuriously.
+  std::atomic<const descriptor*> dbg_parent{nullptr};
 #endif
   // Owner-private link: of the deferred nested-retire list (lock.hpp,
   // retire_nested) while in use, of the spare list once recycled.
@@ -89,13 +88,11 @@ struct descriptor {
   bool run(detail::thread_context* c) {
     log_cursor saved = c->log;
     c->log = {&head, 0};
-#ifdef FLOCK_DEBUG_API
-    if (c->dbg_run_depth < detail::thread_context::kDbgRunDepth)
-      c->dbg_run_stack[c->dbg_run_depth] = this;
-    c->dbg_run_depth++;
+#ifdef FLOCK_CHAOS
+    c->dbg_run_push(this);
 #endif
     bool result = fn();
-#ifdef FLOCK_DEBUG_API
+#ifdef FLOCK_CHAOS
     c->dbg_run_depth--;
 #endif
     c->log = saved;
@@ -133,11 +130,14 @@ descriptor* new_descriptor_ctx(thread_context* c, F&& f) {
     d = carve_descriptor(c);
   ++c->descriptors_live;
   d->fn.emplace(std::forward<F>(f));
-#ifdef FLOCK_DEBUG_API
-  d->dbg_parent =
+#ifdef FLOCK_CHAOS
+  // mo: relaxed — see dbg_parent.
+  d->dbg_parent.store(
       c->dbg_run_depth > 0 && c->dbg_run_depth <= thread_context::kDbgRunDepth
-          ? static_cast<descriptor*>(c->dbg_run_stack[c->dbg_run_depth - 1])
-          : nullptr;
+          ? static_cast<const descriptor*>(
+                c->dbg_run_stack[c->dbg_run_depth - 1])
+          : nullptr,
+      std::memory_order_relaxed);
 #endif
   // mo: relaxed — reading our OWN announcement slot (single writer is
   // this thread); only the value matters, not ordering with other slots.

@@ -35,22 +35,3 @@
 #include "threading.hpp"
 #include "thunk.hpp"
 #include "write_once.hpp"
-
-namespace flock {
-
-/// Idempotent allocation with the paper's name (Alg. 2 `allocate`).
-/// Inside a thunk, exactly one run's allocation survives; outside, this is
-/// a plain pooled allocation.
-template <class T, class... Args>
-T* allocate(Args&&... args) {
-  return idem_new<T>(std::forward<Args>(args)...);
-}
-
-/// Idempotent retirement with the paper's name (Alg. 2 `retire`): at most
-/// one run retires the object; reclamation waits for concurrent epochs.
-template <class T>
-void retire(T* p) {
-  idem_retire<T>(p);
-}
-
-}  // namespace flock

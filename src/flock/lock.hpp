@@ -127,11 +127,9 @@
 #include <thread>
 #include <utility>
 
-#ifdef FLOCK_DEBUG_API
+#ifdef FLOCK_CHAOS
 #include <cstdio>
 #include <cstdlib>
-#include <mutex>
-#include <unordered_map>
 #endif
 
 #include "backoff.hpp"
@@ -155,16 +153,27 @@ inline descriptor* lv_descr(uint64_t val) {
 
 using lock_word = mutable_<uint64_t>;
 
-#ifdef FLOCK_DEBUG_API
-// --- lock-API misuse guards (satellite of the schedule-explorer PR;
-// motivated by "Protecting Locks Against Unbalanced Unlock()"). Compiled
-// only under FLOCK_DEBUG_API, so release builds carry zero cost. Three
-// checks: double release (unlock of an unheld lock), unlock by a
-// non-holder, and leaked locks at thread exit (thread_context.hpp).
+#ifdef FLOCK_CHAOS
+// --- lock-API misuse guards (motivated by "Protecting Locks Against
+// Unbalanced Unlock()"). Compiled with the fault points, so every test
+// binary carries them and release builds carry nothing. Three checks:
+// double release (unlock of an unheld lock), unlock by a non-holder, and
+// a thread that exits inside a critical section (thread_context.hpp).
+// Both modes track the thread's open sections on its bounded run stack
+// (thread_context::dbg_run_stack): lock-free mode the descriptors whose
+// thunks run, blocking mode the lock words of its sections. Past the
+// tracked depth a lock that is not found may be held by an untracked
+// section, so the checks stay silent there rather than guess.
 
 [[noreturn]] inline void dbg_api_abort(const char* what) {
-  std::fprintf(stderr, "[flock] FLOCK_DEBUG_API violation: %s\n", what);
+  std::fprintf(stderr, "[flock] lock API misuse: %s\n", what);
   std::abort();
+}
+
+inline int dbg_tracked_depth(const thread_context* c) {
+  return c->dbg_run_depth < thread_context::kDbgRunDepth
+             ? c->dbg_run_depth
+             : thread_context::kDbgRunDepth;
 }
 
 /// Lock-free non-holder check against the *logged* lock word, so helper
@@ -179,65 +188,38 @@ inline void dbg_check_unlock_helping(thread_context* c, uint64_t v) {
   if (!lv_locked(v))
     dbg_api_abort("unlock() of a lock that is not held (double release)");
   descriptor* h = lv_descr(v);
-  int depth = c->dbg_run_depth < thread_context::kDbgRunDepth
-                  ? c->dbg_run_depth
-                  : thread_context::kDbgRunDepth;
+  const int depth = dbg_tracked_depth(c);
   for (int i = 0; i < depth; i++) {
-    descriptor* e = static_cast<descriptor*>(c->dbg_run_stack[i]);
-    for (int d = 0; e != nullptr && d < 64; d++, e = e->dbg_parent)
+    auto* e = static_cast<const descriptor*>(c->dbg_run_stack[i]);
+    for (int d = 0; e != nullptr && d < 64; d++) {
       if (e == h) return;
+      // mo: relaxed — the walk only compares pointers, and a recycled
+      // parent may be re-stamped by its new owner meanwhile.
+      e = e->dbg_parent.load(std::memory_order_relaxed);
+    }
   }
+  if (c->dbg_run_depth > thread_context::kDbgRunDepth) return;
   dbg_api_abort("unlock() by a thread whose thunk does not hold the lock");
 }
 
-/// Blocking mode has no descriptor to identify the holder, so holders are
-/// tracked in a debug-only side table keyed by lock-word address.
-inline std::mutex& dbg_blocking_mu() {
-  static std::mutex mu;
-  return mu;
-}
-inline std::unordered_map<const void*, int>& dbg_blocking_holders() {
-  static std::unordered_map<const void*, int> m;
-  return m;
-}
-
-inline void dbg_blocking_acquired(thread_context* c, const lock_word* st) {
-  std::lock_guard<std::mutex> g(dbg_blocking_mu());
-  dbg_blocking_holders()[st] = c->id;
-  c->dbg_held++;
-}
-
-/// The automatic release at the end of a blocking critical section. If
-/// this thread still holds the lock, close its bracket. If it
-/// early-released, there is nothing to close, whether or not another
-/// thread re-acquired the lock since: run_blocking leaves a word it did
-/// not install alone.
-inline void dbg_blocking_release_bracket(thread_context* c,
-                                         const lock_word* st) {
-  std::lock_guard<std::mutex> g(dbg_blocking_mu());
-  auto& m = dbg_blocking_holders();
-  auto it = m.find(st);
-  if (it == m.end() || it->second != c->id) return;  // early-released
-  m.erase(it);
-  c->dbg_held--;
-}
-
-inline void dbg_check_unlock_blocking(thread_context* c,
-                                      const lock_word* st) {
-  std::lock_guard<std::mutex> g(dbg_blocking_mu());
-  auto& m = dbg_blocking_holders();
-  auto it = m.find(st);
-  if (it == m.end())
-    dbg_api_abort("unlock() of a lock that is not held (double release)");
-  if (it->second != c->id)
+/// Blocking non-holder and double-release check: clear this thread's
+/// entry for the lock word; with none, the word tells which misuse it is.
+inline void dbg_check_unlock_blocking(thread_context* c, const lock_word* st) {
+  for (int i = dbg_tracked_depth(c) - 1; i >= 0; i--) {
+    if (c->dbg_run_stack[i] == st) {
+      c->dbg_run_stack[i] = nullptr;
+      return;
+    }
+  }
+  if (c->dbg_run_depth > thread_context::kDbgRunDepth) return;
+  if (lv_locked(val_of(st->read_raw_packed())))
     dbg_api_abort("unlock() by a thread that does not hold the lock");
-  m.erase(it);
-  c->dbg_held--;
+  dbg_api_abort("unlock() of a lock that is not held (double release)");
 }
 
-#define FLOCK_DBG_API(stmt) stmt
+#define FLOCK_API_GUARD(stmt) stmt
 #else
-#define FLOCK_DBG_API(stmt)
+#define FLOCK_API_GUARD(stmt)
 #endif
 
 /// Effects-once unlock: flip (d|locked) -> (d|unlocked) if still current.
@@ -254,7 +236,6 @@ inline void raw_unlock(thread_context* c, lock_word& st, descriptor* d) {
 
 /// Run the descriptor's thunk (idempotently), mark done, release the lock.
 inline bool run_and_unlock(thread_context* c, lock_word& st, descriptor* d) {
-  FLOCK_DBG_API(c->dbg_held++);
   bool result = d->run(c);
   // mo: release — publishes the thunk's effects (and its committed log
   // entries) to the acquire done-reads in help_throttled and the nested
@@ -264,7 +245,6 @@ inline bool run_and_unlock(thread_context* c, lock_word& st, descriptor* d) {
   // stall that help_throttled's done-but-locked signal targets.
   FLOCK_FAULTPOINT(lock_handoff_pre_unlock);
   raw_unlock(c, st, d);
-  FLOCK_DBG_API(c->dbg_held--);
   return result;
 }
 
@@ -578,9 +558,9 @@ bool strict_lock_helping(thread_context* c, lock_word& st, F&& f) {
 template <class F>
 bool run_blocking([[maybe_unused]] thread_context* c, lock_word& st,
                   uint64_t held, F&& f) {
-  FLOCK_DBG_API(dbg_blocking_acquired(c, &st));
+  FLOCK_API_GUARD(c->dbg_run_push(&st));
   bool result = f();
-  FLOCK_DBG_API(dbg_blocking_release_bracket(c, &st));
+  FLOCK_API_GUARD(c->dbg_run_depth--);
   if (st.read_raw_packed() == held) st.store_raw(0);
   return result;
 }
@@ -644,7 +624,7 @@ class lock {
   void unlock() {
     detail::thread_context* c = detail::my_ctx();
     if (is_blocking()) {
-      FLOCK_DBG_API(detail::dbg_check_unlock_blocking(c, &state_));
+      FLOCK_API_GUARD(detail::dbg_check_unlock_blocking(c, &state_));
       state_.store_raw(0);
       return;
     }
@@ -658,7 +638,7 @@ class lock {
  private:
   void unlock_helping(detail::thread_context* c) {
     uint64_t cur = state_.load_packed_ctx(c);  // logged
-    FLOCK_DBG_API(detail::dbg_check_unlock_helping(c, val_of(cur)));
+    FLOCK_API_GUARD(detail::dbg_check_unlock_helping(c, val_of(cur)));
     if (detail::lv_locked(val_of(cur)))
       state_.cas_raw_packed_ctx(c, cur, val_of(cur) & ~detail::kLockedBit,
                                 /*precheck=*/true);

@@ -164,10 +164,11 @@ inline uint64_t commit_value(uint64_t v) {
   return commit_raw(v).first;
 }
 
-/// Idempotent allocation (Alg. 2 line 51): every run constructs its own
-/// candidate, the first to commit wins, losers destroy theirs.
+/// Idempotent allocation (Alg. 2 `allocate`): every run constructs its
+/// own candidate, the first to commit wins, losers destroy theirs. Outside
+/// a thunk, this is a plain pooled allocation.
 template <class T, class... Args>
-T* idem_new(Args&&... args) {
+T* allocate(Args&&... args) {
   detail::thread_context* c = detail::my_ctx();
   T* mine = detail::pool_new_ctx<T>(c, std::forward<Args>(args)...);
   auto r = detail::commit_raw_ctx(c, reinterpret_cast<uint64_t>(mine));
@@ -176,10 +177,11 @@ T* idem_new(Args&&... args) {
   return reinterpret_cast<T*>(r.first);
 }
 
-/// Idempotent retirement (Alg. 2 line 57): the first run to commit the
-/// flag owns the retirement; epoch-based collection frees it later.
+/// Idempotent retirement (Alg. 2 `retire`): the first run to commit the
+/// flag owns the retirement; epoch-based collection frees it once
+/// concurrent epochs end.
 template <class T>
-void idem_retire(T* obj) {
+void retire(T* obj) {
   detail::thread_context* c = detail::my_ctx();
   if (detail::commit_raw_ctx(c, 1).second) detail::epoch_retire_ctx(c, obj);
 }

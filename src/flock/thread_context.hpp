@@ -113,15 +113,20 @@ struct alignas(2 * kCacheLine) thread_context {
   int batch_free_n = 0;
   long long retired_pending = 0;  // items in open + sealed (stats)
 
-#ifdef FLOCK_DEBUG_API
-  // Lock-API misuse tracking (lock.hpp): the stack of descriptors whose
-  // thunks are running on this thread, and the number of critical
-  // sections this thread is currently completing (asserted zero at
-  // thread exit — a leaked, never-released lock). Owner-only.
+#ifdef FLOCK_CHAOS
+  // Lock-API misuse guards (lock.hpp), compiled into test builds only:
+  // the stack of this thread's open critical sections — the descriptors
+  // whose thunks run (lock-free mode) or the lock words of its sections
+  // (blocking mode) — tracked up to kDbgRunDepth deep. Owner-only; the
+  // depth must be zero when the thread exits.
   static constexpr int kDbgRunDepth = 16;
-  void* dbg_run_stack[kDbgRunDepth] = {};
+  const void* dbg_run_stack[kDbgRunDepth] = {};
   int dbg_run_depth = 0;
-  long long dbg_held = 0;
+
+  void dbg_run_push(const void* entry) {
+    if (dbg_run_depth < kDbgRunDepth) dbg_run_stack[dbg_run_depth] = entry;
+    dbg_run_depth++;
+  }
 #endif
 };
 
@@ -169,9 +174,13 @@ class id_allocator {
       return id;
     }
     // Checked in every build: past the cap, g_ctx[next_] is out of bounds.
-    if (next_ >= kMaxThreads) [[unlikely]]
+    // mo: relaxed — every writer holds mu_, as this thread does.
+    const int id = next_.load(std::memory_order_relaxed);
+    if (id >= kMaxThreads) [[unlikely]]
       too_many_threads();
-    return next_++;
+    // mo: release — pairs with high_water()'s acquire.
+    next_.store(id + 1, std::memory_order_release);
+    return id;
   }
 
   void release(int id) {
@@ -185,28 +194,17 @@ class id_allocator {
     // A scanner that reads bound n sees at least the (mutex-published) id
     // handout, and every g_ctx slot below the bound is a static whose
     // previous holder left it quiescent (announced=-1, ann_loc=null), so
-    // a raced raise can only expose a benign idle slot, never garbage.
-    // mo: acquire — pairs with the acq_rel raise in note_high_water.
-    return next_hint_.load(std::memory_order_acquire);
-  }
-
-  void note_high_water(int n) {
-    // mo: relaxed — only seeds the CAS expected value; the CAS re-reads
-    // with its own ordering on failure.
-    int cur = next_hint_.load(std::memory_order_relaxed);
-    // mo: acq_rel — monotone-max CAS: release for high_water()'s acquire,
-    // acquire so a loser observes the raiser's larger bound and exits.
-    while (n > cur &&
-           !next_hint_.compare_exchange_weak(cur, n, std::memory_order_acq_rel)) {
-    }
+    // a slot whose new holder has not registered yet is a benign idle
+    // slot, never garbage.
+    // mo: acquire — pairs with the release store in acquire().
+    return next_.load(std::memory_order_acquire);
   }
 
  private:
   id_allocator() = default;
   std::mutex mu_;
   std::vector<int> free_;
-  int next_ = 0;
-  std::atomic<int> next_hint_{0};
+  std::atomic<int> next_{0};  // written under mu_, read by high_water()
 };
 
 // Trivially initialized: access compiles to a plain TLS load, no guard.
@@ -218,7 +216,6 @@ inline thread_local thread_context* tl_ctx = nullptr;
     thread_context* c;
     owner() {
       int id = id_allocator::instance().acquire();
-      id_allocator::instance().note_high_water(id + 1);
       c = &g_ctx[id];
       // Reset transient state a previous holder of this id may have left;
       // monotonic counters and the retire backlog carry over (see header
@@ -235,19 +232,18 @@ inline thread_local thread_context* tl_ctx = nullptr;
       // itself synchronizes through the allocator mutex.
       c->announced.store(-1, std::memory_order_relaxed);
       c->ann_loc.store(nullptr, std::memory_order_relaxed);  // mo: ditto
-#ifdef FLOCK_DEBUG_API
+#ifdef FLOCK_CHAOS
       c->dbg_run_depth = 0;
-      c->dbg_held = 0;
 #endif
       tl_ctx = c;
     }
     ~owner() {
-#ifdef FLOCK_DEBUG_API
-      if (c->dbg_held != 0) {
+#ifdef FLOCK_CHAOS
+      if (c->dbg_run_depth != 0) {
         std::fprintf(stderr,
-                     "[flock] FLOCK_DEBUG_API: thread %d exiting while "
-                     "holding %lld never-released lock(s)\n",
-                     c->id, c->dbg_held);
+                     "[flock] lock API misuse: thread %d exiting inside "
+                     "%d unfinished critical section(s)\n",
+                     c->id, c->dbg_run_depth);
         std::abort();
       }
 #endif

@@ -1,6 +1,5 @@
-// FLOCK_DEBUG_API lock-API misuse guards (lock.hpp). This binary is the
-// only one compiled with FLOCK_DEBUG_API=1 (CMakeLists.txt): the define
-// adds fields to thread_context/descriptor, so it is per-binary.
+// Lock-API misuse guards (lock.hpp). Every test binary compiles them in
+// (they come with FLOCK_CHAOS, CMakeLists.txt); this one exercises them.
 //
 // Two halves:
 //   * positive: the legitimate patterns the paper blesses — early
@@ -55,7 +54,7 @@ TEST_F(ApiGuardTest, EarlyUnlockInsideCriticalSectionBlocking) {
   flock::set_blocking(true);
   flock::lock l;
   bool ok = flock::try_lock(l, [&l] {
-    l.unlock();  // blocking-mode early release: bracket must tolerate it
+    l.unlock();  // blocking-mode early release: the section end no-ops
     return true;
   });
   EXPECT_TRUE(ok);
@@ -91,8 +90,8 @@ TEST_F(ApiGuardTest, HandOverHandChainLockFree) {
 TEST_F(ApiGuardTest, HandOverHandChainBlocking) {
   // Lock b's section releases a, and another thread takes a before a's
   // section ends. That end leaves the new holder's lock alone, the
-  // guards' bracket stays silent, and both threads' thread-exit leak
-  // checks pass at join.
+  // guards stay silent, and both threads' thread-exit checks pass at
+  // join.
   flock::set_blocking(true);
   flock::lock a, b;
   std::atomic<bool> released{false}, inside{false}, leave{false};
@@ -226,7 +225,7 @@ TEST_F(ApiGuardDeathTest, NonHolderUnlockBlocking) {
                    });
                  });
                  while (!locked.load()) std::this_thread::yield();
-                 l.unlock();  // side table says another thread holds it
+                 l.unlock();  // locked, and not by this thread's sections
                  release.store(true);
                  holder.join();
                }()),

@@ -191,7 +191,55 @@ TEST_P(LockModes, ThunkValueCapture) {
   flock::pool_delete(out);
 }
 
+// Sections on locks[i..n), each nested in the previous one; the innermost
+// releases the outermost and its own grandparent early.
+bool nest_sections(flock::lock* locks, int i, int n) {
+  if (i == n) {
+    locks[0].unlock();
+    locks[n - 2].unlock();
+    return true;
+  }
+  return flock::try_lock(locks[i], [locks, i, n] {
+    return nest_sections(locks, i + 1, n);
+  });
+}
+
+// Deeper than the misuse guards track (lock.hpp): the guards find the
+// outermost lock, stay silent on the untracked grandparent, and no
+// early release is counted twice.
+TEST_P(LockModes, DeepNestReleasesOutermostEarly) {
+  constexpr int kNest = 20;
+  static_assert(kNest > flock::detail::thread_context::kDbgRunDepth);
+  flock::lock locks[kNest];
+  flock::lock* lp = locks;
+  EXPECT_TRUE(flock::with_epoch([lp] { return nest_sections(lp, 0, kNest); }));
+  for (const flock::lock& l : locks) EXPECT_FALSE(l.is_locked());
+}
+
 INSTANTIATE_TEST_SUITE_P(BothModes, LockModes, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& i) {
+                           return i.param ? "blocking" : "lockfree";
+                         });
+
+// Every test binary carries the lock-API misuse guards (lock.hpp), so a
+// double release aborts here too, in both modes.
+using LockModesDeathTest = LockModes;
+
+TEST_P(LockModesDeathTest, DoubleReleaseAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(([] {
+                 flock::lock l;
+                 flock::lock* lp = &l;
+                 flock::try_lock(l, [lp] {
+                   lp->unlock();
+                   lp->unlock();
+                   return true;
+                 });
+               }()),
+               "double release");
+}
+
+INSTANTIATE_TEST_SUITE_P(BothModes, LockModesDeathTest, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& i) {
                            return i.param ? "blocking" : "lockfree";
                          });
@@ -229,6 +277,26 @@ TEST(LockBlocking, SectionEndLeavesAReacquiredLockHeld) {
   leave.store(true);
   b.join();
   EXPECT_FALSE(l0.is_locked());
+}
+
+// A section that released its lock early may take it again in a nested
+// section of its own and release it there: the guards track the nested
+// holder, and neither section end releases the lock a second time.
+TEST(LockBlocking, NestedReacquireAfterEarlyRelease) {
+  flock::mode_guard mode(/*blocking=*/true);
+  flock::lock l0, l1;
+  bool ok = flock::strict_lock(l0, [&] {
+    return flock::try_lock(l1, [&] {
+      flock::unlock(l0);
+      return flock::try_lock(l0, [&] {
+        flock::unlock(l0);
+        return true;
+      });
+    });
+  });
+  EXPECT_TRUE(ok);
+  EXPECT_FALSE(l0.is_locked());
+  EXPECT_FALSE(l1.is_locked());
 }
 
 // ---------- lock-free specific: helping ----------

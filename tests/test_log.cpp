@@ -215,9 +215,9 @@ TEST(Log, IdemNewAndRetireOutsideThunk) {
     explicit obj(int v) : x(v) {}
   };
   long long before = flock::pool_outstanding<obj>();
-  obj* p = flock::idem_new<obj>(5);
+  obj* p = flock::allocate<obj>(5);
   EXPECT_EQ(p->x, 5);
-  flock::idem_retire(p);
+  flock::retire(p);
   flock::epoch_manager::instance().flush();
   EXPECT_EQ(flock::pool_outstanding<obj>(), before);
 }
