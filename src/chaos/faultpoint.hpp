@@ -32,9 +32,11 @@
 // aggregation and reporters link the same either way. Test targets
 // define FLOCK_CHAOS (see CMakeLists.txt); with no plan armed a
 // compiled-in point costs one relaxed atomic load. FLOCK_CHAOS compiles
-// in exactly two things: these points and the lock-API misuse guards
+// in exactly three things: these points, the lock-API misuse guards
 // (flock/lock.hpp), which add per-thread tracking to thread_context and
-// a parent pointer to each descriptor.
+// a parent pointer to each descriptor, and the replay oracle
+// (flock/descriptor.hpp, flock/lock.hpp), which adds a first-run record
+// to each descriptor and an owner replay to each top-level acquisition.
 //
 // Determinism: hit arrivals are only counted while a point has a plan
 // armed, and each plan entry counts the arrivals that match its own
@@ -251,9 +253,14 @@ struct sched_hook {
 };
 inline thread_local sched_hook* tl_sched_hook = nullptr;
 
+// Points are inert on a thread while this is set: no yield, no arrival
+// counted, no fault. The owner replay (flock/lock.hpp, replay_owner) sets
+// it, so seeded plans and explored schedules never see the replay.
+inline thread_local bool tl_inert = false;
+
 inline void yield_to_scheduler(const char* name) {
   sched_hook* h = tl_sched_hook;
-  if (h != nullptr) [[unlikely]]
+  if (h != nullptr && !tl_inert) [[unlikely]]
     h->fn(h, name);
 }
 
@@ -331,6 +338,8 @@ inline bool on_hit(point_state& p, bool alloc_site) {
 /// enumerable event), then the armed check. Returns true when the
 /// allocation at an alloc point must report failure.
 inline bool cross(point id) {
+  if (tl_inert) [[unlikely]]
+    return false;
   yield_to_scheduler(name(id));
   point_state& p = state(id);
   if (p.armed.load(std::memory_order_relaxed) == 0) [[likely]]

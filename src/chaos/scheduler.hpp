@@ -1,5 +1,5 @@
 // scheduler.hpp — a cooperative schedule explorer over the faultpoint
-// layer (CDSChecker/Relacy-style, per the ROADMAP item).
+// layer (CDSChecker/Relacy-style).
 //
 // The faultpoint layer (faultpoint.hpp) names the protocol's hardest
 // windows; kill/stall plans probe the schedules a test author thought to
@@ -17,6 +17,13 @@
 // per-run prefix filter selects which points count as scheduling steps —
 // small filters keep schedule spaces tractable and exclude points whose
 // arrival depends on cross-run global state (slab refill, epoch seal).
+// Because the explorer serializes threads at yield points, it explores
+// only sequentially consistent executions: an argument that rests on a
+// weaker order (a `// mo:` acquire/release pair, a store-to-load
+// pattern) is never violated here, however wrong it is. The owner
+// replay of every top-level acquisition (flock/lock.hpp) runs with the
+// points inert, so it crosses no yield point and adds no schedule
+// states.
 //
 // Deciders (which thread runs next):
 //   dfs_decider     exhaustive DFS over all schedules, with preemption

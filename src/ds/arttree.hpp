@@ -343,8 +343,11 @@ class arttree {
           uint64_t c = nn->count.load();  // logged
           if (c >= 48) return false;
           nn->children[c].store(flock::allocate<leafnode>(k, v));
-          // Same-value store for stale replays; appends serialize under
-          // the node lock.
+          // A raw, unlogged store: every run stores the same value to the
+          // same slot (`c` is logged, appends serialize under the node
+          // lock), so it is idempotent. Every test build's owner replay
+          // re-executes it, and the replay oracle checks that the rerun
+          // ends like the first run.
           // mo: release — publishes the child-slot store above to
           // find_slot's acquire index load (lock-free readers).
           nn->index[b].store(static_cast<uint8_t>(c + 1),
@@ -367,15 +370,18 @@ class arttree {
       uint64_t c = nn->count.load();  // logged
       if (c >= static_cast<uint64_t>(cap)) return false;  // raced to full
       // Re-scan for b among committed entries (another insert may have
-      // appended it between our descent and taking the lock). Entries
-      // below `c` are immutable, so the scan is deterministic across
-      // replays given the logged count.
+      // appended it between our descent and taking the lock). The reads
+      // are raw, but entries below the logged `c` are immutable, so every
+      // run of the thunk scans the same values; every test build's owner
+      // replay re-executes the scan after the first run's append, and the
+      // replay oracle aborts if it decides differently.
       // mo: acquire — matching find_slot's reader side (one protocol).
       for (uint64_t i = 0; i < c; i++)
         if (nn->bytes[i].load(std::memory_order_acquire) == b) return false;
       // Publishes nothing yet (the child store follows); a reader that
       // matches this byte loads the child slot through mutable_'s own
-      // synchronization. Same-value store across replays (see baseline).
+      // synchronization. A raw same-value store: every run writes `b` to
+      // slot `c`, and every test build's owner replay re-executes it.
       // mo: release — keeps byte stores ordered for find_slot's scan.
       nn->bytes[c].store(b, std::memory_order_release);
       nn->children[c].store(flock::allocate<leafnode>(k, v));

@@ -20,8 +20,9 @@
 // reuse of a never-helped descriptor, a lost install race, a losing
 // candidate, the epoch deleter of a helped one — is one recycle(c, d):
 // it frees the overflow log blocks, resets the log, `done` and `helped`
-// with atomic stores, clears the thunk, and pushes d on the releasing
-// thread's spare list, from which the next acquisition takes it.
+// (and the replay oracle's first-run record) with atomic stores, clears
+// the thunk, and pushes d on the releasing thread's spare list, from
+// which the next acquisition takes it.
 //
 // Invariant: a thread holding a stale pointer to a recycled descriptor
 // (a waiter or helper that read a lock word before the owner released
@@ -30,10 +31,24 @@
 // seq_cst read (lock.hpp). The word's tag is monotonic while any stale
 // referencer exists, so a recycled descriptor never passes that check,
 // and the stale access is an atomic access to live memory, not a race.
+//
+// Replay oracle (test builds only, with FLOCK_CHAOS): Definition 1 says
+// any number of runs of a thunk from one log look like one run. Each
+// descriptor records where its first completed run ended — the log slots
+// it consumed and the thunk's result — and every later run (a helper's,
+// a late one, a resumed killed owner's, the owner replay in lock.hpp)
+// must end at the same place, or the process aborts with
+// "[flock] replay diverged". A thunk that branches on something its log
+// does not hold (a raw read, a clock, a random number, a static) or that
+// returns a different result is caught on its first replay.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#ifdef FLOCK_CHAOS
+#include <cstdio>
+#include <cstdlib>
+#endif
 
 #include "allocator.hpp"
 #include "config.hpp"
@@ -46,10 +61,31 @@
 
 namespace flock {
 
+#ifdef FLOCK_CHAOS
+namespace detail {
+
+[[noreturn, gnu::cold, gnu::noinline]] inline void replay_diverged(
+    const void* d, uint32_t first, uint32_t now) {
+  std::fprintf(stderr,
+               "[flock] replay diverged: descriptor %p's first run ended "
+               "after %u log slots returning %u, this run after %u "
+               "returning %u\n",
+               d, first >> 2, first >> 1 & 1, now >> 2, now >> 1 & 1);
+  std::abort();
+}
+
+}  // namespace detail
+#endif
+
 struct descriptor {
   log_block head;                   // first log block, embedded
   std::atomic<bool> done{false};    // update-once; loads of it are logged
   std::atomic<bool> helped{false};  // §6 reuse optimization (see lock.hpp)
+#ifdef FLOCK_CHAOS
+  // Replay oracle (see the header): the first completed run's end,
+  // `slots << 2 | result << 1 | 1`; 0 until a run completes.
+  std::atomic<uint32_t> first_run{0};
+#endif
   // Creator's announced epoch. Atomic because help() reads it from a
   // descriptor that may already be recycled and re-stamped (see the
   // invariant above); relaxed on both sides, see new_descriptor_ctx.
@@ -84,7 +120,8 @@ struct descriptor {
   ~descriptor() = delete;  // type-stable: released by recycle(), never freed
 
   /// Alg. 2 `run`: install this descriptor's log as the thread's current
-  /// log, run the thunk, restore the previous log (supports nesting).
+  /// log, run the thunk, restore the previous log (supports nesting). Test
+  /// builds check the run against the first one (check_run).
   bool run(detail::thread_context* c) {
     log_cursor saved = c->log;
     c->log = {&head, 0};
@@ -94,12 +131,33 @@ struct descriptor {
     bool result = fn();
 #ifdef FLOCK_CHAOS
     c->dbg_run_depth--;
+    check_run(c, result);
 #endif
     c->log = saved;
     return result;
   }
 
   bool run() { return run(detail::my_ctx()); }
+
+#ifdef FLOCK_CHAOS
+  /// Replay oracle: compare the run ending at cursor c->log with result
+  /// `result` against the first completed run, recording it if none is.
+  void check_run(detail::thread_context* c, bool result) {
+    uint32_t slots = static_cast<uint32_t>(c->log.pos);
+    // mo: relaxed — this run already walked (and acquired) every block up
+    // to its cursor.
+    for (const log_block* b = &head; b != c->log.block;
+         b = b->next.load(std::memory_order_relaxed))
+      slots += kLogBlockEntries;
+    const uint32_t now = slots << 2 | uint32_t{result} << 1 | 1;
+    uint32_t first = 0;
+    // mo: relaxed — only the value is compared; it orders nothing.
+    if (!first_run.compare_exchange_strong(first, now,
+                                           std::memory_order_relaxed) &&
+        first != now)
+      detail::replay_diverged(this, first, now);
+  }
+#endif
 };
 static_assert(sizeof(descriptor) == 3 * kCacheLine,
               "a descriptor is three cache lines: log, flags, thunk");
@@ -178,6 +236,9 @@ inline void recycle(thread_context* c, descriptor* d) {
   d->head.next.store(nullptr, std::memory_order_relaxed);  // mo: ditto
   d->done.store(false, std::memory_order_relaxed);         // mo: ditto
   d->helped.store(false, std::memory_order_relaxed);       // mo: ditto
+#ifdef FLOCK_CHAOS
+  d->first_run.store(0, std::memory_order_relaxed);        // mo: ditto
+#endif
   d->fn.clear();
   d->deferred_next = c->spare;
   c->spare = d;

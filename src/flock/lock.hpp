@@ -234,9 +234,42 @@ inline void raw_unlock(thread_context* c, lock_word& st, descriptor* d) {
                           /*precheck=*/true);
 }
 
+#ifdef FLOCK_CHAOS
+/// Owner replay, which feeds the replay oracle (descriptor.hpp): run a
+/// top-level owner's thunk once more before its done store, as a helper
+/// could, so every lock-free critical section in a test build runs at
+/// least twice and check_run compares the runs. The nested acquisitions
+/// it reaches adopt the first run's descriptors and replay their thunks
+/// too. It leaves no trace: fault and sched points are inert while it
+/// runs, so seeded plans and explored schedules do not see it, and the
+/// thread's commit count, stat cells and backoff state are restored.
+[[gnu::noinline]] inline void replay_owner(thread_context* c,
+                                           descriptor* d) {
+  const uint64_t commits = c->commit_count;
+  const uint64_t rng = c->backoff_rng;
+#define FLOCK_STAT_SAVE(name) stat_read(c->stat.name),
+  const uint64_t cells[] = {FLOCK_THREAD_STATS(FLOCK_STAT_SAVE)};
+#undef FLOCK_STAT_SAVE
+  flock_chaos::detail::tl_inert = true;
+  d->run(c);
+  flock_chaos::detail::tl_inert = false;
+  c->commit_count = commits;
+  c->backoff_rng = rng;
+  const uint64_t* cell = cells;
+  // mo: relaxed — the owner's own stat cells, as in stat_add.
+#define FLOCK_STAT_RESTORE(name) \
+  c->stat.name.store(*cell++, std::memory_order_relaxed);
+  FLOCK_THREAD_STATS(FLOCK_STAT_RESTORE)
+#undef FLOCK_STAT_RESTORE
+}
+#endif
+
 /// Run the descriptor's thunk (idempotently), mark done, release the lock.
 inline bool run_and_unlock(thread_context* c, lock_word& st, descriptor* d) {
   bool result = d->run(c);
+#ifdef FLOCK_CHAOS
+  if (c->owner_run && c->log.block == nullptr) replay_owner(c, d);
+#endif
   // mo: release — publishes the thunk's effects (and its committed log
   // entries) to the acquire done-reads in help_throttled and the nested
   // acquisition paths.

@@ -1,6 +1,8 @@
 // Property tests for Definition 1 (idempotence): a thunk run by many
 // interleaved processes must appear to run exactly once. We drive
-// descriptors directly (no locks) so the tests isolate Algorithm 2.
+// descriptors directly (no locks) so the tests isolate Algorithm 2. The
+// Replay tests check the replay oracle (flock/descriptor.hpp) that every
+// test build carries: a thunk whose runs diverge aborts the process.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -237,6 +239,49 @@ TEST(Idempotence, DoneFlagVisibleAfterFirstFinish) {
   EXPECT_EQ(x->read_raw(), 1u);
   destroy_descr(d);
   flock::pool_delete(x);
+}
+
+// A thunk body that branches on an unlogged read of a word it writes: the
+// first run stores, and every later run reads the stored value, skips the
+// store and so ends its log earlier.
+bool store_once_raw(flock::mutable_<uint64_t>* x) {
+  if (x->read_raw() == 0) x->store(1);
+  return true;
+}
+
+void run_divergent_top_level() {
+  flock::lock l;
+  auto* x = flock::pool_new<flock::mutable_<uint64_t>>();
+  x->init(0);
+  flock::with_epoch([&] {
+    return flock::try_lock(l, [x] { return store_once_raw(x); });
+  });
+}
+
+// The outer thunk logs the nested acquisition and does not diverge
+// itself; the owner replay adopts the nested descriptor and replays the
+// inner thunk, which does.
+void run_divergent_nested() {
+  flock::lock outer;
+  flock::lock inner;
+  auto* x = flock::pool_new<flock::mutable_<uint64_t>>();
+  x->init(0);
+  flock::lock* ip = &inner;
+  flock::with_epoch([&] {
+    return flock::try_lock(outer, [ip, x] {
+      return flock::try_lock(*ip, [x] { return store_once_raw(x); });
+    });
+  });
+}
+
+TEST(Replay, DivergentTopLevelThunkAborts) {
+  flock::set_blocking(false);
+  EXPECT_DEATH(run_divergent_top_level(), "replay diverged");
+}
+
+TEST(Replay, DivergentNestedThunkAborts) {
+  flock::set_blocking(false);
+  EXPECT_DEATH(run_divergent_nested(), "replay diverged");
 }
 
 }  // namespace

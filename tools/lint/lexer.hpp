@@ -1,15 +1,15 @@
 // lexer.hpp — minimal C++ tokenizer for flock-lint.
 //
 // This is not a compiler front end: it produces just enough structure for
-// the region classifier and rules — identifiers, punctuation, literals,
-// and comments, each with a line number. Comments are KEPT as tokens
-// because rule R3 (memory-order justification) looks for `// mo:` text;
-// rules that reason about code skip them via next_code()/prev_code().
+// rule R3 — identifiers, punctuation, literals, and comments, each with a
+// line number. Comments are KEPT as tokens because R3 (memory-order
+// justification) looks for `// mo:` text; literals are whole tokens, so
+// an order named inside a string (a test fixture) is not an order.
 //
 // Handled: //- and /* */-comments, string/char literals with escapes, raw
 // strings R"delim(...)delim", digit separators, line continuations inside
 // literals (by virtue of scanning), preprocessor lines (lexed as ordinary
-// tokens — the rules don't care). Not handled (documented limitations, all
+// tokens — R3 does not care). Not handled (documented limitations, all
 // irrelevant to this codebase): trigraphs, UD-literal suffixes beyond
 // identifier chars.
 #pragma once
@@ -23,12 +23,12 @@
 namespace flock_lint {
 
 enum class tok_kind {
-  ident,    // identifiers and keywords (new/delete/volatile/static/...)
+  ident,    // identifiers and keywords
   number,   // numeric literal
   str,      // string literal, text includes quotes (and R"..." payload)
   chr,      // char literal
   comment,  // // or /* */ comment, text includes the markers
-  punct,    // everything else, one token per maximal operator
+  punct,    // everything else, one character per token
 };
 
 struct token {
@@ -44,19 +44,6 @@ inline bool ident_start(char c) {
 }
 inline bool ident_char(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
-
-// Maximal-munch puncts the rules care to keep whole. Everything else is
-// emitted as single characters; rules only ever look at ., ->, ::, and the
-// bracket/paren family, so that is enough.
-inline int punct_len(const std::string& s, std::size_t i) {
-  static const char* two[] = {"->", "::", "<<", ">>", "<=", ">=", "==",
-                              "!=", "&&", "||", "+=", "-=", "*=", "/=",
-                              "++", "--", "|=", "&=", "^=", "%="};
-  if (i + 1 < s.size())
-    for (const char* p : two)
-      if (s[i] == p[0] && s[i + 1] == p[1]) return 2;
-  return 1;
 }
 
 }  // namespace detail
@@ -148,27 +135,11 @@ inline std::vector<token> lex(const source_file& f) {
       i = j;
       continue;
     }
-    int len = detail::punct_len(s, i);
-    out.push_back({tok_kind::punct, s.substr(i, static_cast<std::size_t>(len)),
-                   line});
-    i += static_cast<std::size_t>(len);
+    // Punctuation, one character per token: R3 only looks at ; { and }.
+    out.push_back({tok_kind::punct, std::string(1, c), line});
+    i++;
   }
   return out;
-}
-
-/// Index of the next non-comment token at or after i (tokens.size() if none).
-inline std::size_t next_code(const std::vector<token>& t, std::size_t i) {
-  while (i < t.size() && t[i].kind == tok_kind::comment) i++;
-  return i;
-}
-
-/// Index of the previous non-comment token strictly before i, or npos.
-inline std::size_t prev_code(const std::vector<token>& t, std::size_t i) {
-  while (i > 0) {
-    i--;
-    if (t[i].kind != tok_kind::comment) return i;
-  }
-  return std::string::npos;
 }
 
 }  // namespace flock_lint

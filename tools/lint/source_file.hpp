@@ -53,8 +53,7 @@ struct source_file {
 };
 
 /// Whitespace-normalized form of a line: trimmed, inner runs collapsed to
-/// one space. Baseline entries match on this, so findings survive
-/// reindentation and line renumbering (but not edits to the line itself).
+/// one space (the snippet a finding prints under its diagnostic).
 inline std::string normalize_ws(const std::string& s) {
   std::string out;
   bool in_space = false;
