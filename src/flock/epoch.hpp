@@ -1,29 +1,28 @@
 // epoch.hpp — epoch-based memory reclamation (paper §6 "Epoch-based
-// collection") with helper epoch adoption and DEBRA-style amortization.
+// collection") with helper epoch adoption.
 //
 // Scheme: a global epoch counter plus one announcement slot per thread
 // (in its thread context). An operation announces the current global
 // epoch for its whole duration (`with_epoch`). Retired objects are pushed
 // onto a fixed-capacity per-thread batch — an O(1) pointer bump. When a
-// batch fills it is *sealed*: stamped with the current global epoch
-// (an upper bound on every member's retire-time epoch) and queued FIFO.
-// A sealed batch is freeable once every announced epoch is strictly
-// greater than its stamp. Because an object is only retired after it was
-// unlinked, any reader that can still hold a reference announced an epoch
-// no larger than the stamp, so the gate is sound.
+// batch fills it is *sealed*: stamped with the global epoch, read by an
+// RMW on the counter (an upper bound on every member's retire-time epoch),
+// and queued FIFO. A sealed batch is freeable once every announced epoch
+// is strictly greater than its stamp. Because an object is only retired
+// after it was unlinked, any reader that can still hold a reference
+// announced an epoch no larger than the stamp, so the gate is sound.
 //
-// Amortization (cf. DEBRA): reclamation keeps a *cached* lower bound on
-// the minimum announced epoch (`min_bound_`). Sealing first tries to free
-// old batches against the cached bound — no scanning at all. Only when
-// the backlog persists does it pay for one announcement scan (bounded by
-// thread_id_bound()) plus an epoch-advance attempt, and the scan result
-// refreshes the cache for everyone. The cache is sound because the bound
-// is monotone: a scan that observed minimum m with global counter g
-// guarantees no thread can later announce below min(m, g) — fresh
-// announcements take the (validated, see announce()) current global
-// >= g, and helper adoption only adopts the epoch of an installed
-// descriptor whose creator is still announcing it, which any scan already
-// counted.
+// Reclamation: each seal runs one announcement scan (scan(), bounded by
+// thread_id_bound()) against the counter value g it stamped with. The
+// scan advances the counter from g to g + 1 when every announced thread
+// has caught up with g, and frees the sealed batches stamped below
+// min(minimum announced epoch, g) — all of them when no thread is
+// announced. A thread the scan read as quiescent can announce only a
+// value it re-read from the counter after the scan's RMW (announce()),
+// so at least g, above every freed stamp. A seal costs one RMW on the
+// counter, one scan and at most one advance CAS, once per
+// retire_batch::kCapacity retires; the batch just sealed waits for a
+// later seal unless no thread is announced.
 //
 // Helper adoption (paper §6): when a thread helps a descriptor it lowers
 // its announcement to min(own, descriptor epoch) and restores it after.
@@ -64,7 +63,7 @@ class epoch_manager {
       ~guard() {
         if (--c->epoch_depth == 0) {
           // mo: release — quiescing: every access this thread made to
-          // epoch-protected objects happens-before a collector's acquire
+          // epoch-protected objects happens-before a collector's
           // read of -1 (min_announced), so nothing can be freed under us.
           c->announced.store(-1, std::memory_order_release);
         }
@@ -122,7 +121,7 @@ class epoch_manager {
   int64_t current_epoch() const {
     // mo: acquire — callers stamp descriptors with the result; acquire
     // keeps the stamp no older than state already observed via the
-    // counter's advance (acq_rel CAS in try_advance).
+    // counter's advance (acq_rel CAS in scan()).
     return global_.load(std::memory_order_acquire);
   }
 
@@ -143,21 +142,21 @@ class epoch_manager {
   /// announcement on exit.
   void flush() {
     const int bound = thread_id_bound();
-    for (int i = 0; i < 3; i++) try_advance();
+    for (int i = 0; i < 3; i++) scan(current_epoch());
     for (int i = 0; i < bound; i++) {
       detail::thread_context* c = &detail::g_ctx[i];
       if (c->open != nullptr && c->open->n > 0) seal(c);
     }
-    const int64_t b = refresh_bound();
+    const int64_t b = scan(current_epoch());
     for (int i = 0; i < bound; i++) drain_sealed(&detail::g_ctx[i], b);
   }
 
  private:
   /// Outermost announcement, with validation: re-announce until the
-  /// global counter stops moving under us, so a collector that advanced
-  /// the epoch concurrently cannot have missed this announcement while we
-  /// go on to read shared state (this validation is what lets reclamation
-  /// trust a cached minimum, see header comment).
+  /// global counter stops moving under us. A scan that reads this slot
+  /// as quiescent read the counter (an RMW, see seal()) before it, so the
+  /// value validated here is at least that scan's counter value g and
+  /// above the stamp of every batch the scan frees (see scan()).
   void announce(detail::thread_context* c) {
     // mo: relaxed — just a first guess for the validation loop; the
     // seq_cst re-read below is what the protocol trusts.
@@ -193,34 +192,38 @@ class epoch_manager {
     }
   }
 
-  /// Stamp the open batch and queue it FIFO (oldest at head).
-  void seal(detail::thread_context* c) {
+  /// Stamp the open batch and queue it FIFO (oldest at head). Returns
+  /// the stamp, the counter value the seal's scan runs against.
+  int64_t seal(detail::thread_context* c) {
     detail::retire_batch* b = c->open;
     c->open = nullptr;
-    // mo: acquire — the stamp must upper-bound every member's retire
-    // epoch; acquire keeps it no older than advances already observed.
-    b->epoch = global_.load(std::memory_order_acquire);
+    // The stamp is read by an RMW, not a load. Every write to the counter
+    // is an RMW (this one and the advance CAS in scan()), so each value
+    // written after this one lies in its release sequence. The counter
+    // only grows, so a reader whose validated announcement (announce())
+    // is above the stamp read such a value and synchronizes with this
+    // RMW. Hence every store this thread made before it (the unlinks of
+    // the batch's members, a migration unit's forwarded flag)
+    // happens-before that reader's accesses. A plain load would leave a
+    // store->load pair that nothing orders in blocking mode, where no
+    // logged CAS precedes the seal. seq_cst rather than acq_rel also
+    // places the read in the total order with announce() and the scan's
+    // loads (header comment); on x86 both are the same locked
+    // instruction.
+    const int64_t g = global_.fetch_add(0, std::memory_order_seq_cst);
+    b->epoch = g;
     b->next = nullptr;
     if (c->sealed_tail == nullptr)
       c->sealed_head = b;
     else
       c->sealed_tail->next = b;
     c->sealed_tail = b;
+    return g;
   }
 
   void seal_and_reclaim(detail::thread_context* c) {
     FLOCK_FAULTPOINT(epoch_seal);
-    seal(c);
-    // Cheap pass: the cached bound, no scanning.
-    // mo: acquire — pairs with the acq_rel raise in refresh_bound(); a
-    // bound published by another thread's scan implies its announcement
-    // reads, which this drain's frees rely on.
-    drain_sealed(c, min_bound_.load(std::memory_order_acquire));
-    if (c->sealed_head != nullptr) {
-      // Backlog persists: pay for one scan + advance and refresh the cache.
-      try_advance();
-      drain_sealed(c, refresh_bound());
-    }
+    drain_sealed(c, scan(seal(c)));
   }
 
   /// Free sealed batches whose stamp precedes `bound` (strictly).
@@ -241,56 +244,37 @@ class epoch_manager {
     int64_t mn = INT64_MAX;
     const int bound = thread_id_bound();
     for (int i = 0; i < bound; i++) {
-      // mo: acquire — pairs with the release quiesce store (with_epoch
-      // guard): reading -1 means that thread's accesses to protected
-      // objects happen-before any free this scan justifies.
-      int64_t e = detail::g_ctx[i].announced.load(std::memory_order_acquire);
+      // seq_cst: acquires the release quiesce store (with_epoch guard),
+      // so reading -1 means that thread's accesses to protected objects
+      // happen-before any free this scan justifies; and it orders the
+      // read after the seal's RMW in the total order (see announce()).
+      int64_t e = detail::g_ctx[i].announced.load(std::memory_order_seq_cst);
       if (e >= 0 && e < mn) mn = e;
     }
     return mn;
   }
 
-  /// One announcement scan; returns a freeing bound for the caller's
-  /// *immediate* drain and raises the monotone cache. The immediate bound
-  /// matches the classic scheme: with nobody announced, everything
-  /// currently retired is free. The *cached* value is clamped to the
-  /// global counter read before the scan — the value future decisions can
-  /// trust, because validated future announcements can never land below
-  /// it.
-  int64_t refresh_bound() {
-    const int64_t g = global_.load(std::memory_order_seq_cst);
-    int64_t mn = min_announced();
-    int64_t cacheable = mn == INT64_MAX ? g : (mn < g ? mn : g);
-    // mo: relaxed — seeds the CAS expected value only; the CAS re-reads
-    // with its own ordering on failure.
-    int64_t cur = min_bound_.load(std::memory_order_relaxed);
-    // mo: acq_rel — monotone-max raise: release publishes the scan this
-    // bound summarizes to seal_and_reclaim's acquire read; acquire so a
-    // loser sees the winner's larger bound and exits the loop.
-    while (cacheable > cur && !min_bound_.compare_exchange_weak(
-                                  cur, cacheable, std::memory_order_acq_rel)) {
+  /// The one announcement scan, against a counter value `g` read after
+  /// every batch it may free was sealed. Advances the counter from g to
+  /// g + 1 when every announced thread has caught up with g, which keeps
+  /// announcements within one advance of the counter. Returns the freeing
+  /// bound for drain_sealed: min(minimum announced epoch, g), or
+  /// INT64_MAX when no thread is announced (everything sealed is free).
+  int64_t scan(int64_t g) {
+    const int64_t mn = min_announced();
+    if (mn == INT64_MAX || mn >= g) {
+      int64_t expected = g;
+      // mo: acq_rel — release publishes the advance so stamps taken from
+      // the new value imply this scan; acquire on failure reads the
+      // advance that won.
+      global_.compare_exchange_strong(expected, g + 1,
+                                      std::memory_order_acq_rel);
     }
-    return mn == INT64_MAX ? INT64_MAX : cacheable;
-  }
-
-  void try_advance() {
-    // mo: acquire — the scan below must run against announcements no
-    // older than the counter value we will advance from.
-    int64_t g = global_.load(std::memory_order_acquire);
-    int64_t mn = min_announced();
-    // Advance only when every announced thread has caught up with the
-    // current epoch; this bounds the distance between announcements and
-    // the global counter to one advance per full quiescence cycle.
-    // mo: acq_rel — release publishes the advance so stamps taken from
-    // the new value imply this scan; acquire mirrors the load above when
-    // the CAS fails and refreshes g.
-    if (mn == INT64_MAX || mn >= g)
-      global_.compare_exchange_strong(g, g + 1, std::memory_order_acq_rel);
+    if (mn == INT64_MAX) return INT64_MAX;
+    return mn < g ? mn : g;
   }
 
   std::atomic<int64_t> global_{0};
-  // Monotone lower bound on the minimum announced epoch (cached scan).
-  std::atomic<int64_t> min_bound_{0};
 };
 
 namespace detail {

@@ -5,10 +5,24 @@
 //
 // Protocol implemented here:
 //  * a helper that is about to CAS a compact mutable announces the
-//    (location, expected packed word) pair in its thread context, with a
-//    seq_cst fence, and clears the slot after the CAS;
+//    (location, expected packed word) pair in its thread context, and
+//    clears the slot after the CAS;
 //  * a writer that wraps a location's 16-bit tag scans the contexts and
 //    picks the next tag not announced for that location.
+//
+// Pairing, with no fence on either side: the scan reads each slot's
+// ann_loc with a seq_cst load. The announcing store is a seq_cst store
+// off x86, so the two are in one total order: an announcement that
+// precedes the scan in it is seen, with its ann_packed (stored before it,
+// read after it). On x86 the announcing store is a release store, which
+// the LOCK-prefixed CAS every caller issues next cannot pass: that CAS
+// drains the store buffer, so the pair acts as a seq_cst store followed
+// by the CAS. An announcement the scan misses is ordered after the scan,
+// and the CAS it guards after that. That CAS cannot precede the word the
+// wrapper is replacing: its release would then carry the announcement to
+// the wrapper's acquire read of that word, and the scan would see it. So
+// it runs against the wrapper's word or a later one, and can succeed
+// against a reused tag only as in the non-goal below.
 //
 // Non-goal: ABA across a full tag cycle. A helper logs its expected word
 // before announcing it, so a wrap scan in that window cannot see it. Its
@@ -57,7 +71,7 @@ class announce_guard {
       : c_(c) {
     // mo: relaxed — ann_packed is published by the ann_loc store below
     // (scanners read ann_loc first and only then ann_packed, so the
-    // release/fence on ann_loc orders this store for them).
+    // release or seq_cst store of ann_loc orders this store for them).
     c_->ann_packed.store(packed, std::memory_order_relaxed);
 #if defined(__x86_64__) || defined(__i386__)
     // TSO: stores retire in order and the LOCK-prefixed CAS that every
@@ -71,10 +85,9 @@ class announce_guard {
     // store->CAS ordering is the hardware argument above.
     c_->ann_loc.store(loc, std::memory_order_release);
 #else
-    // mo: relaxed — the seq_cst fence right below globally orders both
-    // announcement stores before the caller's CAS (non-TSO fallback).
-    c_->ann_loc.store(loc, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
+    // Non-TSO: seq_cst puts the announcement in the total order with the
+    // wrap scan's loads and the caller's seq_cst CAS (header comment).
+    c_->ann_loc.store(loc, std::memory_order_seq_cst);
 #endif
   }
   announce_guard(const void* loc, uint64_t packed)
@@ -100,14 +113,14 @@ inline uint64_t next_tag(const void* loc, uint64_t cur_packed) {
   if (t <= kTagMax) [[likely]]
     return t;
   // Wrapped: gather announced tags for this location.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
   uint64_t banned[kMaxThreads];
   int nbanned = 0;
   const int bound = thread_id_bound();
   for (int i = 0; i < bound; i++) {
-    // mo: acquire — pairs with the announcer's release on ann_loc: seeing
-    // loc here guarantees the matching ann_packed store below is visible.
-    if (g_ctx[i].ann_loc.load(std::memory_order_acquire) == loc)
+    // seq_cst: in the total order with the announcing store (header
+    // comment); it also acquires that store, so seeing loc here makes
+    // the matching ann_packed store visible below.
+    if (g_ctx[i].ann_loc.load(std::memory_order_seq_cst) == loc)
       banned[nbanned++] =
           // mo: acquire — read after ann_loc matched; acquire keeps the
           // two loads ordered (relaxed would allow the packed read to

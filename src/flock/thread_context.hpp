@@ -51,8 +51,8 @@ struct retired_item {
 /// A fixed-capacity block of retired objects. retire() is an O(1) push
 /// into the open batch; when the batch fills it is sealed — stamped with
 /// the global epoch, which upper-bounds every member's retire epoch — and
-/// reclamation decisions happen per batch, not per object (DEBRA-style
-/// amortization, see epoch.hpp).
+/// reclamation decisions happen per batch, not per object: one
+/// announcement scan per seal (see epoch.hpp).
 struct retire_batch {
   static constexpr int kCapacity = 64;
   int64_t epoch = -1;  // seal stamp; -1 while open

@@ -142,7 +142,7 @@ TEST(Epoch, IdleReaderDoesNotPinReclamation) {
 
   long long before = tracked::live().load();
   // Churn enough retires through THIS thread to seal many batches: each
-  // seal whose cheap drain leaves a backlog scans and advances the epoch.
+  // seal scans the announcements once and advances the epoch.
   constexpr int kChurn = 64 * 40;
   for (int i = 0; i < kChurn; i++) {
     tracked* t = flock::pool_new<tracked>();
@@ -156,6 +156,38 @@ TEST(Epoch, IdleReaderDoesNotPinReclamation) {
 
   release.store(true);
   idle_reader.join();
+  flock::epoch_manager::instance().flush();
+  EXPECT_EQ(tracked::live().load(), before);
+}
+
+// A thread that exits with a partly filled retire batch hands it, with
+// its id, to the next thread that registers (thread_context.hpp). That
+// thread's retires fill the inherited batch, and its first seal reclaims
+// it with no flush().
+TEST(Epoch, InheritedBacklogDrainsWithoutFlush) {
+  constexpr int kCap = flock::detail::retire_batch::kCapacity;
+  constexpr int kSealed = 3, kLeft = 17;  // A retires kCap*kSealed + kLeft
+  static_assert(kLeft > 0 && kLeft < kCap);
+  const long long before = tracked::live().load();
+  int id_a = -1, id_b = -1;
+  std::thread a([&] {
+    id_a = flock::thread_id();
+    for (int i = 0; i < kCap * kSealed + kLeft; i++)
+      flock::epoch_retire(flock::pool_new<tracked>());
+  });
+  a.join();
+  // Ids recycle last-in first-out, and no thread registers in between.
+  std::thread b([&] {
+    id_b = flock::thread_id();
+    for (int i = 0; i < kCap - kLeft; i++)
+      flock::epoch_retire(flock::pool_new<tracked>());
+  });
+  b.join();
+  ASSERT_EQ(id_a, id_b) << "the second thread did not get the first's id";
+  // B's retires complete the inherited batch, and B seals it. Had B
+  // started a batch of its own, all kCap of these objects would be live.
+  EXPECT_LE(tracked::live().load() - before, kCap - 1)
+      << "the inherited retire backlog did not drain";
   flock::epoch_manager::instance().flush();
   EXPECT_EQ(tracked::live().load(), before);
 }
@@ -180,9 +212,9 @@ TEST(Epoch, InRegionReaderSurvivesRetireChurn) {
 
   long long live_before = tracked::live().load();
   flock::epoch_retire(t);
-  // Heavy churn drives seal_and_reclaim's scan-and-advance path over and
-  // over; the reader's announcement must hold t (and everything retired
-  // after it) alive throughout.
+  // Heavy churn seals batch after batch, each running one scan; the
+  // reader's announcement stops the epoch one advance past it and must
+  // hold t (and everything retired after it) alive throughout.
   for (int i = 0; i < 64 * 20; i++) {
     tracked* x = flock::pool_new<tracked>();
     flock::epoch_retire(x);
