@@ -81,15 +81,9 @@
 
 #include "chaos/faultpoint.hpp"
 #include "flock/flock.hpp"
+#include "hash.hpp"
 
 namespace flock_ds {
-
-inline uint64_t splitmix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 template <class K, class V, bool Strict>
 class hashtable;
@@ -403,27 +397,6 @@ class hashtable {
              c = c->next.read_raw())
           f(c->k, c->v);
       });
-    });
-  }
-
-  /// Early-exit scan: visits keys until `f` returns false. Returns true
-  /// iff the scan ran to completion. Batched consumers (e.g. the store
-  /// tier's rebalance passes) use this so collecting a bounded batch
-  /// costs O(batch), not O(resident keys).
-  template <class F>
-  bool for_each_until(F&& f) const {
-    return flock::with_epoch([&] {
-      for (const table* t = root_.read_raw(); t != nullptr;
-           t = t->next.read_raw()) {
-        for (std::size_t i = 0; i <= t->mask; i++) {
-          const bucket* s = &t->buckets[i];
-          if (s->removed.read_raw()) continue;
-          for (node* c = s->next.read_raw(); c != nullptr;
-               c = c->next.read_raw())
-            if (!f(c->k, c->v)) return false;
-        }
-      }
-      return true;
     });
   }
 

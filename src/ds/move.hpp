@@ -6,6 +6,12 @@
 // Lock order (Theorem 4.2's acyclic partial order): the two lists are
 // ordered by object address; within a list, list-position order
 // (predecessor before node). Every thunk captures by value.
+//
+// Reads during a move: every try_move (lazylist below, hashtable in
+// hashtable.hpp) publishes the key in the destination before it hides it
+// in the source, so a lock-free reader may see the key in both containers
+// mid-move but never in neither, if it probes the source first and the
+// destination only on a miss (checked by ScheduleTest.MoveSourceFirstRead*).
 #pragma once
 
 #include <type_traits>
@@ -20,8 +26,6 @@ namespace flock_ds {
 /// with respect to all other *updaters*: both splices happen inside one
 /// validated critical-section nest, so no insert/remove/move can
 /// interleave between them — the key is never lost or duplicated.
-/// (Lock-free readers, which take no locks by design, may still observe
-/// the in-flight instant where the key is visible in both lists.)
 /// Returns false — changing nothing — if k is absent in `from`, already
 /// present in `to`, or any lock/validation fails transiently (callers
 /// retry like any try-lock operation; `move_retry` below loops until a
@@ -78,43 +82,18 @@ bool try_move(lazylist<K, V, Strict>& from, lazylist<K, V, Strict>& to,
   });
 }
 
-/// Why move_retry's answer is three-valued: a failed attempt budget is
-/// NOT the same fact as "the key cannot move". Rebalance loops built on
-/// top (e.g. store-tier resharding in store/sharded_map.hpp) must treat
-/// the two differently — `not_movable` means the key is done forever
-/// (gone from the source or already at the destination: skip it and move
-/// on), while `exhausted` means every attempt failed transiently under
-/// contention (the key is still pending: come back to it, widen the
-/// budget, or surface backpressure). Collapsing both to `false` made
-/// callers silently drop contended keys from rebalance passes.
-enum class move_outcome {
-  moved,        // the key changed containers exactly once
-  not_movable,  // validated: absent in source, or present in destination
-  exhausted     // attempt budget ran out; every failure was transient
-};
-
-/// Loop try_move until it either moves the key, definitively cannot
-/// (absent in source / present in destination under a validated check),
-/// or exhausts `max_attempts` without a definite answer. Works for any
-/// pair of same-type containers with a try_move overload (lazylist above,
-/// hashtable in ds/hashtable.hpp, sharded_map in store/) via ADL.
-template <class C, class Key>
-move_outcome move_retry_ex(C& from, C& to, Key k, int max_attempts = 1 << 20) {
-  for (int i = 0; i < max_attempts; i++) {
-    if (try_move(from, to, k)) return move_outcome::moved;
-    // Definitive misses: re-check quiescently-enough via plain finds.
-    if (!from.find(k).has_value()) return move_outcome::not_movable;
-    if (to.find(k).has_value()) return move_outcome::not_movable;
-  }
-  return move_outcome::exhausted;
-}
-
-/// Boolean convenience wrapper (true iff the key moved). Callers that
-/// need to distinguish "cannot move" from "ran out of attempts" use
-/// move_retry_ex above.
+/// Loop try_move until the key moves (true), or a validated find shows it
+/// gone from the source or already in the destination, or `max_attempts`
+/// run out (false). Works for any pair of same-type containers with a
+/// try_move overload (lazylist above, hashtable in ds/hashtable.hpp,
+/// sharded_map in store/) via ADL.
 template <class C, class Key>
 bool move_retry(C& from, C& to, Key k, int max_attempts = 1 << 20) {
-  return move_retry_ex(from, to, k, max_attempts) == move_outcome::moved;
+  for (int i = 0; i < max_attempts; i++) {
+    if (try_move(from, to, k)) return true;
+    if (!from.find(k).has_value() || to.find(k).has_value()) return false;
+  }
+  return false;
 }
 
 }  // namespace flock_ds

@@ -24,9 +24,10 @@
 // both endpoints to their shard tables and runs the hashtable try_move —
 // one nest of bucket critical sections ordered by bucket address, the
 // acyclic-lock-order discipline of ds/move.hpp (Theorem 4.2), so it
-// composes with in-flight resizes on either side. rebalance_into() loops
-// that move to migrate a store onto a different shard layout online (see
-// below).
+// composes with in-flight resizes on either side. The two stores may have
+// different shard counts. The stores do not route reads for each other: a
+// reader that must not miss a key in flight probes the source first and
+// the destination only on a miss (ds/move.hpp, "Reads during a move").
 #pragma once
 
 #include <cstdint>
@@ -140,64 +141,6 @@ class sharded_map {
   const shard_t& shard(std::size_t i) const { return *shards_[i]; }
   std::size_t shard_of(K k) const { return shard_index(shard_t::hash_of(k)); }
 
-  struct rebalance_report {
-    std::size_t moved = 0;       // keys that changed stores
-    std::size_t settled = 0;     // definitively done (raced away/ahead)
-    std::size_t exhausted = 0;   // still pending after the attempt budget
-    bool budget_spent = false;   // stopped on `budget`, keys may remain
-  };
-
-  /// Online resharding hook: move up to `budget` resident keys into
-  /// `dst` (typically the same data on a different shard layout), each
-  /// via the validated cross-shard try_move, so no key is ever lost or
-  /// duplicated even against concurrent updaters on both stores. Drives
-  /// move_retry_ex and keeps its three outcomes separate: a key that
-  /// raced away (removed, or already moved by a concurrent rebalancer)
-  /// is settled, while an attempt-budget exhaustion is reported as
-  /// pending — callers loop until a pass reports nothing moved and
-  /// nothing exhausted. During a migration window the stores do not
-  /// route reads for each other: a caller that must not miss a resident
-  /// key probes `*this` (the SOURCE) first and falls back to `dst` only
-  /// on a miss. Source-first is forced by the move's splice order:
-  /// try_move publishes the key in the destination before hiding it in
-  /// the source, so "absent in source" implies the destination
-  /// publication already happened and the fallback probe must find it.
-  /// Probing dst first admits a false miss (dst probed before the
-  /// publication, source after the removal). The stores themselves stay
-  /// individually consistent throughout.
-  rebalance_report rebalance_into(sharded_map& dst, std::size_t budget,
-                                  int attempts_per_key = 1 << 10) {
-    rebalance_report rep;
-    std::vector<K> batch;
-    batch.reserve(budget);
-    for (const auto& s : shards_) {
-      if (batch.size() >= budget) break;
-      // Early-exit scan: filling the batch costs O(budget), not
-      // O(resident keys), so a budget-bounded pass stays bounded even
-      // on a huge store.
-      s->for_each_until([&](K k, const V&) {
-        if (batch.size() >= budget) return false;
-        batch.push_back(k);
-        return true;
-      });
-    }
-    rep.budget_spent = batch.size() >= budget;
-    for (K k : batch) {
-      switch (flock_ds::move_retry_ex(*this, dst, k, attempts_per_key)) {
-        case flock_ds::move_outcome::moved:
-          rep.moved++;
-          break;
-        case flock_ds::move_outcome::not_movable:
-          rep.settled++;
-          break;
-        case flock_ds::move_outcome::exhausted:
-          rep.exhausted++;
-          break;
-      }
-    }
-    return rep;
-  }
-
  private:
   template <class K2, class V2, bool S2>
   friend bool try_move(sharded_map<K2, V2, S2>&, sharded_map<K2, V2, S2>&,
@@ -214,13 +157,13 @@ class sharded_map {
 };
 
 /// Atomically move key `k` between two sharded stores (which may have
-/// different shard counts — this is the resharding primitive). Routing on
-/// each side picks the shard table; the rest is the hashtable try_move:
-/// both splices inside one validated nest of bucket critical sections
-/// ordered by bucket address, composing with in-flight grow/shrink on
-/// either shard. Returns false — changing nothing — if k is absent in
-/// `from`, already present in `to`, or any lock/validation fails
-/// transiently (callers retry, e.g. via move_retry_ex in ds/move.hpp).
+/// different shard counts). Routing on each side picks the shard table;
+/// the rest is the hashtable try_move: both splices inside one validated
+/// nest of bucket critical sections ordered by bucket address, composing
+/// with in-flight grow/shrink on either shard. Returns false — changing
+/// nothing — if k is absent in `from`, already present in `to`, or any
+/// lock/validation fails transiently (callers retry, e.g. via move_retry
+/// in ds/move.hpp).
 template <class K, class V, bool Strict>
 bool try_move(sharded_map<K, V, Strict>& from, sharded_map<K, V, Strict>& to,
               std::type_identity_t<K> k) {

@@ -4,7 +4,7 @@
 //   std::optional<uint64_t> find(uint64_t k);
 //   size_t size(); bool check_invariants();
 //
-// The arttree adapter additionally hashes keys (paper §8: "we sparsify
+// The arttree adapter maps keys through splitmix64 (paper §8: "we sparsify
 // the key range by hashing each key... This does not affect the other
 // data structures since they either are purely comparison based or hash
 // the keys themselves").
@@ -28,18 +28,26 @@
 
 namespace flock_workload {
 
-using key_t64 = uint64_t;
+/// Key maps: what the adapter hands the structure for a caller's key.
+struct same_keys {
+  static uint64_t map(uint64_t k) { return k; }
+};
+/// ART's sparsification. splitmix64 is a bijection on 64-bit values, so
+/// distinct keys stay distinct.
+struct hashed_keys {
+  static uint64_t map(uint64_t k) { return splitmix64(k); }
+};
 
-/// Direct pass-through adapter.
-template <class DS>
+/// The one adapter: forwards every operation with its key mapped by `Key`.
+template <class DS, class Key = same_keys>
 class set_adapter {
  public:
   template <class... Args>
   explicit set_adapter(Args&&... args) : ds_(std::forward<Args>(args)...) {}
 
-  bool insert(uint64_t k, uint64_t v) { return ds_.insert(k, v); }
-  bool remove(uint64_t k) { return ds_.remove(k); }
-  std::optional<uint64_t> find(uint64_t k) { return ds_.find(k); }
+  bool insert(uint64_t k, uint64_t v) { return ds_.insert(Key::map(k), v); }
+  bool remove(uint64_t k) { return ds_.remove(Key::map(k)); }
+  std::optional<uint64_t> find(uint64_t k) { return ds_.find(Key::map(k)); }
   std::size_t size() const { return ds_.size(); }
   /// Stats-line population read: the structure's O(#counter-shards)
   /// estimate where one exists (hashtable, sharded_map), else the exact
@@ -59,34 +67,11 @@ class set_adapter {
   DS ds_;
 };
 
-/// ART adapter: sparsifies keys by hashing (bijective enough for the
-/// benchmark ranges; collisions over 64 bits are negligible — splitmix64
-/// is in fact a bijection on 64-bit values).
+/// The sparsified adapter under its own name, so its instantiations read
+/// as such in type-parameterized test names.
 template <class DS>
-class hashed_adapter {
- public:
-  template <class... Args>
-  explicit hashed_adapter(Args&&... args) : ds_(std::forward<Args>(args)...) {}
-
-  bool insert(uint64_t k, uint64_t v) { return ds_.insert(splitmix64(k), v); }
-  bool remove(uint64_t k) { return ds_.remove(splitmix64(k)); }
-  std::optional<uint64_t> find(uint64_t k) { return ds_.find(splitmix64(k)); }
-  std::size_t size() const { return ds_.size(); }
-  /// Same dispatch as set_adapter::approx_size: route to the structure's
-  /// sharded occupancy counters when it has them instead of falling back
-  /// to an exact O(n) scan (key hashing is irrelevant to a population
-  /// count, so the pass-through is sound here too).
-  std::size_t approx_size() const {
-    if constexpr (requires(const DS& d) { d.approx_size(); })
-      return ds_.approx_size();
-    else
-      return ds_.size();
-  }
-  bool check_invariants() const { return ds_.check_invariants(); }
-  DS& underlying() { return ds_; }
-
- private:
-  DS ds_;
+struct hashed_adapter : set_adapter<DS, hashed_keys> {
+  using set_adapter<DS, hashed_keys>::set_adapter;
 };
 
 // Canonical instantiations used by tests and benchmarks. ---------------

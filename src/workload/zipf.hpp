@@ -15,14 +15,11 @@
 #include <random>
 #include <vector>
 
+#include "ds/hash.hpp"
+
 namespace flock_workload {
 
-inline uint64_t splitmix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+using flock_ds::splitmix64;
 
 /// xorshift-based fast PRNG, one per thread.
 class rng64 {

@@ -35,28 +35,14 @@ TEST_P(MoveTest, BasicSemantics) {
   b.insert(2, 99);
   EXPECT_FALSE(flock_ds::move_retry(a, b, 2));  // already in dest
   EXPECT_EQ(*a.find(2), 20u);                   // source untouched
+  EXPECT_EQ(*b.find(2), 99u);                   // dest untouched
+  // A zero attempt budget never calls try_move: false, nothing changes.
+  a.insert(3, 30);
+  EXPECT_FALSE(flock_ds::move_retry(a, b, 3, 0));
+  EXPECT_EQ(*a.find(3), 30u);
+  EXPECT_FALSE(b.find(3).has_value());
   EXPECT_TRUE(a.check_invariants());
   EXPECT_TRUE(b.check_invariants());
-}
-
-TEST_P(MoveTest, RetryExKeepsExhaustionDistinctFromNotMovable) {
-  list_t a, b;
-  a.insert(1, 10);
-  EXPECT_EQ(flock_ds::move_retry_ex(a, b, 1), flock_ds::move_outcome::moved);
-  EXPECT_EQ(flock_ds::move_retry_ex(a, b, 1),
-            flock_ds::move_outcome::not_movable);  // gone from source
-  a.insert(2, 20);
-  b.insert(2, 22);
-  EXPECT_EQ(flock_ds::move_retry_ex(a, b, 2),
-            flock_ds::move_outcome::not_movable);  // already in dest
-  // A spent attempt budget is a different fact: nothing was validated,
-  // the caller must treat the key as still pending.
-  EXPECT_EQ(flock_ds::move_retry_ex(a, b, 2, 0),
-            flock_ds::move_outcome::exhausted);
-  // The bool wrapper keeps its old contract (true iff moved).
-  EXPECT_FALSE(flock_ds::move_retry(a, b, 2));
-  EXPECT_EQ(*a.find(2), 20u);
-  EXPECT_EQ(*b.find(2), 22u);
 }
 
 TEST_P(MoveTest, SelfMoveRejected) {

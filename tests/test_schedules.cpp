@@ -12,7 +12,9 @@
 //     flag -> root swing -> epoch retire), including the resize-trigger
 //     alloc-fail deferral composed with schedules, and a helper's late
 //     replay of a grow unit after its successor bucket took an insert;
-//   * epoch retire vs. announce, via explicit test.* yield points.
+//   * epoch retire vs. announce, via explicit test.* yield points;
+//   * plain reads vs. payload writes, migration forwards and a cross-store
+//     move (a source-first double read never misses the moving key).
 //
 // Every run records a schedule string ("0,0,1,k0,..."); the replay tests
 // re-run recorded strings and assert bit-identical traces and state
@@ -31,6 +33,7 @@
 
 #include "chaos/schedule_test.hpp"
 #include "ds/hashtable.hpp"
+#include "ds/move.hpp"
 #include "flock/flock.hpp"
 #include "store/sharded_map.hpp"
 
@@ -1272,6 +1275,85 @@ TEST_F(ScheduleTest, StoreReadMonotonicityExhaustiveBothModes) {
     auto st = std::make_shared<store_read_state>();
     sched::scenario sc = make_store_read_scenario(
         blocking, st, blocking ? "store_read_blocking" : "store_read_lockfree");
+    sched::explore_options o;
+    o.preemption_bound = 2;
+    o.run = vread_filter();
+    o.failure_check = test_failed;
+    sched::explore_stats stats = sched::explore(sc, o);
+    EXPECT_FALSE(stats.truncated) << sc.name;
+    EXPECT_FALSE(stats.nondeterminism) << sc.name;
+    EXPECT_GE(stats.schedules_at_max_bound, 25u) << sc.name;
+    if (::testing::Test::HasFailure()) {
+      ADD_FAILURE() << "first failing schedule in " << sc.name << ": "
+                    << stats.failure_schedule;
+      return;
+    }
+  }
+}
+
+// --- scenario: a source-first read never misses a moving key ----------------
+//
+// try_move publishes the key in the destination before it hides it in the
+// source (ds/move.hpp, "Reads during a move"). One thread moves key 5 with
+// move_retry from a 1-shard store to a 2-shard one. The other reads it
+// twice the caller-side way: the source first, the destination only on a
+// miss. The points cover the splice's chain stores (mut.cas.pre) and flag
+// publications (wo.publish), so the explorer preempts between the
+// destination publish and the source removal, and the reader's window. On
+// every schedule, in both lock modes, both reads find the key.
+struct move_read_state {
+  using store = flock_store::sharded_map<long, long, false>;
+  std::unique_ptr<store> from, to;
+  std::optional<long> r1, r2;
+};
+
+sched::scenario make_move_read_scenario(bool blocking,
+                                        std::shared_ptr<move_read_state> st,
+                                        const char* name) {
+  sched::scenario sc;
+  sc.name = name;
+  sc.setup = [st, blocking] {
+    flock::set_blocking(blocking);
+    st->r1.reset();
+    st->r2.reset();
+    st->from = std::make_unique<move_read_state::store>(1, 64);
+    st->to = std::make_unique<move_read_state::store>(2, 64);
+    st->from->insert(5, 500);
+    st->from->insert(6, 600);
+    st->to->insert(7, 700);
+  };
+  sc.threads.push_back(
+      [st] { EXPECT_TRUE(flock_ds::move_retry(*st->from, *st->to, 5L)); });
+  sc.threads.push_back([st] {
+    auto read = [&st] {
+      auto r = st->from->find(5);
+      return r.has_value() ? r : st->to->find(5);
+    };
+    st->r1 = read();
+    st->r2 = read();
+  });
+  sc.on_final = [st](const sched::run_report& rep) {
+    EXPECT_EQ(st->r1, std::optional<long>(500)) << rep.schedule_string();
+    EXPECT_EQ(st->r2, std::optional<long>(500)) << rep.schedule_string();
+    EXPECT_FALSE(st->from->find(5).has_value()) << rep.schedule_string();
+    EXPECT_EQ(st->to->find(5), std::optional<long>(500))
+        << rep.schedule_string();
+    EXPECT_EQ(st->from->size(), 1u) << rep.schedule_string();
+    EXPECT_EQ(st->to->size(), 2u) << rep.schedule_string();
+    EXPECT_TRUE(st->from->check_invariants()) << rep.schedule_string();
+    EXPECT_TRUE(st->to->check_invariants()) << rep.schedule_string();
+    st->from.reset();
+    st->to.reset();
+  };
+  sc.fingerprint = [st] { return opt_str(st->r1) + "/" + opt_str(st->r2); };
+  return sc;
+}
+
+TEST_F(ScheduleTest, MoveSourceFirstReadExhaustiveBothModes) {
+  for (bool blocking : {false, true}) {
+    auto st = std::make_shared<move_read_state>();
+    sched::scenario sc = make_move_read_scenario(
+        blocking, st, blocking ? "move_read_blocking" : "move_read_lockfree");
     sched::explore_options o;
     o.preemption_bound = 2;
     o.run = vread_filter();

@@ -1,7 +1,7 @@
 // Store tier (store/sharded_map.hpp): routing correctness across shard
-// counts, per-shard independent resize lifecycles (grow AND shrink),
-// cross-shard atomic movement, and the online-resharding rebalance hook —
-// in both lock modes.
+// counts, per-shard independent resize lifecycles (grow AND shrink), and
+// atomic movement between stores of different shard counts — in both lock
+// modes.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -109,62 +109,37 @@ TEST_P(ShardedMapTest, ChurnShrinksEveryShard) {
 }
 
 TEST_P(ShardedMapTest, CrossShardMoveBasicSemantics) {
-  map_try a(4), b(8);  // different layouts: the resharding pairing
+  map_try a(4), b(8);  // different layouts
   a.insert(1, 10);
   a.insert(2, 20);
-  EXPECT_EQ(flock_ds::move_retry_ex(a, b, uint64_t{1}),
-            flock_ds::move_outcome::moved);
+  EXPECT_TRUE(flock_ds::move_retry(a, b, uint64_t{1}));
   EXPECT_FALSE(a.find(1).has_value());
   EXPECT_EQ(*b.find(1), 10u);  // value travels
-  EXPECT_EQ(flock_ds::move_retry_ex(a, b, uint64_t{1}),
-            flock_ds::move_outcome::not_movable);  // no longer in source
-  EXPECT_EQ(flock_ds::move_retry_ex(a, b, uint64_t{9}),
-            flock_ds::move_outcome::not_movable);  // never existed
+  EXPECT_FALSE(flock_ds::move_retry(a, b, uint64_t{1}));  // not in source
+  EXPECT_FALSE(flock_ds::move_retry(a, b, uint64_t{9}));  // never existed
   b.insert(2, 99);
-  EXPECT_EQ(flock_ds::move_retry_ex(a, b, uint64_t{2}),
-            flock_ds::move_outcome::not_movable);  // already in dest
-  EXPECT_EQ(*a.find(2), 20u);                      // source untouched
-  // Zero attempt budget: no definite answer is derivable, and that is a
-  // different fact than "cannot move" — the tri-state keeps them apart.
-  EXPECT_EQ(flock_ds::move_retry_ex(a, b, uint64_t{2}, 0),
-            flock_ds::move_outcome::exhausted);
+  EXPECT_FALSE(flock_ds::move_retry(a, b, uint64_t{2}));  // already in dest
+  EXPECT_EQ(*a.find(2), 20u);                             // source untouched
+  EXPECT_EQ(*b.find(2), 99u);                             // dest untouched
+  // A zero attempt budget never calls try_move: false, nothing changes.
+  a.insert(3, 30);
+  EXPECT_FALSE(flock_ds::move_retry(a, b, uint64_t{3}, 0));
+  EXPECT_EQ(*a.find(3), 30u);
+  EXPECT_FALSE(b.find(3).has_value());
   EXPECT_FALSE(flock_store::try_move(a, a, uint64_t{2}));  // self-move
   EXPECT_TRUE(a.check_invariants());
   EXPECT_TRUE(b.check_invariants());
 }
 
-TEST_P(ShardedMapTest, RebalanceReshardsEverythingQuiescent) {
-  map_try src(1), dst(8);
-  const uint64_t n = 5000;
-  for (uint64_t k = 1; k <= n; k++) ASSERT_TRUE(src.insert(k, k * 13));
-
-  std::size_t moved_total = 0;
-  for (int pass = 0; pass < 64; pass++) {
-    auto rep = src.rebalance_into(dst, 1024);
-    moved_total += rep.moved;
-    EXPECT_EQ(rep.exhausted, 0u) << "quiescent moves cannot exhaust";
-    if (rep.moved == 0 && rep.exhausted == 0 && !rep.budget_spent) break;
-  }
-  EXPECT_EQ(moved_total, n);
-  EXPECT_EQ(src.size(), 0u);
-  EXPECT_EQ(dst.size(), n);
-  for (uint64_t k = 1; k <= n; k++) {
-    auto v = dst.find(k);
-    ASSERT_TRUE(v.has_value()) << "key " << k << " lost in resharding";
-    ASSERT_EQ(*v, k * 13);
-  }
-  EXPECT_TRUE(src.check_invariants());
-  EXPECT_TRUE(dst.check_invariants());
-}
-
 TEST_P(ShardedMapTest, ReshardingUnderConcurrentTraffic) {
-  // Writers keep pumping fresh keys into the source store while a
-  // rebalancer migrates it onto a wider layout; once the writers stop,
-  // the rebalancer drains the remainder. Nothing may be lost or
-  // duplicated, against concurrent updaters on both stores.
+  // Writers keep inserting fresh keys into a 2-shard store while a mover
+  // sweeps the key space with move_retry into an 8-shard store. Once the
+  // writers stop, one quiescent sweep must move every key still in the
+  // source. Nothing may be lost or duplicated.
   map_try src(2), dst(8);
   constexpr int kWriters = 2;
   constexpr uint64_t kPerWriter = 20000;
+  constexpr uint64_t kKeys = kWriters * kPerWriter;
   std::atomic<bool> writers_done{false};
 
   std::vector<std::thread> ts;
@@ -175,27 +150,29 @@ TEST_P(ShardedMapTest, ReshardingUnderConcurrentTraffic) {
                                i * 3));
     });
   }
-  std::atomic<std::size_t> moved{0};
+  std::size_t moved = 0;
   ts.emplace_back([&] {
-    while (true) {
-      auto rep = src.rebalance_into(dst, 2048);
-      moved.fetch_add(rep.moved);
-      if (writers_done.load(std::memory_order_acquire) && rep.moved == 0 &&
-          rep.exhausted == 0 && !rep.budget_spent)
-        return;
+    for (bool last = false; !last;) {
+      last = writers_done.load(std::memory_order_acquire);
+      for (uint64_t k = 1; k <= kKeys; k++) {
+        const bool resident = last && src.find(k).has_value();
+        const bool ok = flock_ds::move_retry(src, dst, k);
+        EXPECT_TRUE(ok || !resident) << "quiescent move of key " << k;
+        moved += ok;
+      }
     }
   });
   for (int w = 0; w < kWriters; w++) ts[static_cast<size_t>(w)].join();
   writers_done.store(true, std::memory_order_release);
   ts.back().join();
 
-  EXPECT_EQ(moved.load(), kWriters * kPerWriter);
+  EXPECT_EQ(moved, kKeys);
   EXPECT_EQ(src.size(), 0u);
-  EXPECT_EQ(dst.size(), kWriters * kPerWriter);
+  EXPECT_EQ(dst.size(), kKeys);
   for (uint64_t w = 0; w < kWriters; w++) {
-    for (uint64_t i = 1; i <= kPerWriter; i += 53) {
+    for (uint64_t i = 1; i <= kPerWriter; i++) {
       auto v = dst.find(w * kPerWriter + i);
-      ASSERT_TRUE(v.has_value()) << "key " << w * kPerWriter + i;
+      ASSERT_TRUE(v.has_value()) << "key " << w * kPerWriter + i << " lost";
       ASSERT_EQ(*v, i * 3);
     }
   }
@@ -204,15 +181,16 @@ TEST_P(ShardedMapTest, ReshardingUnderConcurrentTraffic) {
 }
 
 TEST_P(ShardedMapTest, ConcurrentReadersNeverMissDuringRebalance) {
-  // The caller-side double read over a live rebalance_into window: probe
-  // the source first and fall back to the destination only on a miss.
-  // Every key stays resident throughout, so any miss is a false one.
+  // A reader's double read while every key moves, one direct try_move at a
+  // time, from a 2-shard store to a 4-shard one: probe the source first
+  // and the destination only on a miss. Every key stays resident
+  // throughout, so any miss is a false one.
   map_try src(2), dst(4);
   constexpr uint64_t kKeys = 128;
   for (uint64_t k = 0; k < kKeys; k++) ASSERT_TRUE(src.insert(k, k + 1));
-  std::atomic<bool> stop{false};
+  std::atomic<bool> started{false}, stop{false};
   std::atomic<uint64_t> misses{0};
-  std::thread reader([&src, &dst, &stop, &misses] {
+  std::thread reader([&] {
     while (!stop.load(std::memory_order_acquire)) {
       for (uint64_t k = 0; k < kKeys; k++) {
         auto r = src.find(k);
@@ -220,12 +198,17 @@ TEST_P(ShardedMapTest, ConcurrentReadersNeverMissDuringRebalance) {
         if (!r.has_value() || *r != k + 1)
           misses.fetch_add(1, std::memory_order_relaxed);
       }
+      started.store(true, std::memory_order_release);
     }
   });
-  while (true) {
-    const auto rep = src.rebalance_into(dst, 4);
-    if (rep.moved == 0 && rep.exhausted == 0 && !rep.budget_spent) break;
-    std::this_thread::yield();  // let the reader overlap the window
+  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
+  for (uint64_t k = 0; k < kKeys; k++) {
+    // The reader takes no locks, so only a transient validation failure
+    // (a resize in flight on either bucket) can make an attempt fail; a
+    // key that never moves fails the size check below.
+    for (int i = 0; i < (1 << 20) && !flock_store::try_move(src, dst, k); i++) {
+    }
+    std::this_thread::yield();  // let the reader overlap the next move
   }
   stop.store(true, std::memory_order_release);
   reader.join();
